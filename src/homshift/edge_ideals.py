@@ -6,7 +6,11 @@ power is (x1*...*xn)^s divided by a product of s edges; the Factorization
 type keeps that edge multiset explicit.  When the vertex labels make every
 suffix {i+1, ..., n} induce a connected subgraph, all powers have linear
 quotients in descending lex order, and set(u) collects the variables
-generating each successive colon ideal.
+generating each successive colon ideal.  Powers are enumerated once per
+edge multiset, keeping one Factorization per monomial.  Set maps come from
+a hash lookup of (u / x_k) * x_j among the earlier generators, and a
+vectorized numpy check then confirms that every colon is generated by
+those variables.
 """
 
 from __future__ import annotations
@@ -76,14 +80,18 @@ def _power_exponents(g: Graph, multiset: tuple) -> tuple[int, ...]:
     return tuple(exps)
 
 
-def power_generator_expressions(
-    g: Graph, s: int
-) -> dict[Monomial, list[EdgeMultiset]]:
-    """All edge multisets of size s grouped by the power generator they produce."""
+def _check_power_args(g: Graph, s: int) -> None:
     if s < 1:
         raise PreconditionError("power must be at least 1")
     if not is_connected(g):
         raise PreconditionError("power generators require a connected graph")
+
+
+def power_generator_expressions(
+    g: Graph, s: int
+) -> dict[Monomial, list[EdgeMultiset]]:
+    """All edge multisets of size s grouped by the power generator they produce."""
+    _check_power_args(g, s)
     groups: dict[tuple[int, ...], list[tuple]] = {}
     for multiset in combinations_with_replacement(g.edges, s):
         groups.setdefault(_power_exponents(g, multiset), []).append(multiset)
@@ -101,13 +109,18 @@ def power_generators(g: Graph, s: int) -> tuple[Factorization, ...]:
 
     Distinct multisets can collide on the same monomial (e.g. the two
     alternating perfect matchings of an even cycle); the lexicographically
-    smallest edge multiset is kept as the canonical expression.  Output is
-    in descending lex order of monomials.
+    smallest edge multiset is kept as the canonical expression.  Since
+    ``g.edges`` is sorted, that is the first multiset the enumeration
+    reaches.  Output is in descending lex order of monomials.
     """
-    out = []
-    for monomial, expressions in power_generator_expressions(g, s).items():
-        out.append(Factorization(s, expressions[0], monomial))
-    return tuple(out)
+    _check_power_args(g, s)
+    first: dict[tuple[int, ...], tuple] = {}
+    for multiset in combinations_with_replacement(g.edges, s):
+        first.setdefault(_power_exponents(g, multiset), multiset)
+    return tuple(
+        Factorization(s, EdgeMultiset.from_edges(first[exps]), Monomial(exps))
+        for exps in sorted(first, reverse=True)
+    )
 
 
 def lex_order(gens: list[Factorization] | tuple[Factorization, ...]) -> list[Factorization]:
@@ -133,6 +146,11 @@ class SetMap:
 def set_map_colon(ordered) -> SetMap:
     """Compute set(u) for each generator from the successive colon ideals.
 
+    The generators must all have the same degree (PreconditionError
+    otherwise).  Then u_t / gcd(u_t, u) has degree 1 exactly when
+    u_t = (u / x_k) * x_j, so set(u) collects the x_j found by looking up
+    each u / x_k among the earlier generators divided by one variable.
+
     Verifies the linear-quotients property along the way: each colon
     (u_1, ..., u_{i-1}) : (u_i) must be generated by variables, i.e. every
     quotient u_t / gcd(u_t, u_i) must be divisible by some variable that
@@ -144,20 +162,30 @@ def set_map_colon(ordered) -> SetMap:
         raise ValueError("ordered generators must be pairwise distinct")
     if not gens:
         return SetMap((), ())
-    mat = np.array([g.exps for g in gens], dtype=np.int32)
-    sets: list[frozenset[int]] = [frozenset()]
-    for i in range(1, len(gens)):
-        quotients = mat[:i] - mat[i]
-        np.maximum(quotients, 0, out=quotients)
-        degs = quotients.sum(axis=1)
-        if not degs.all():
-            # Some earlier generator divides u_i: the colon is the unit ideal.
-            raise NotLinearQuotientsError(i, gens[i])
-        singles = quotients[degs == 1]
-        cols = np.unique(np.nonzero(singles)[1]) if len(singles) else np.empty(0, int)
-        if len(cols) == 0 or not (quotients[:, cols] >= 1).any(axis=1).all():
-            raise NotLinearQuotientsError(i, gens[i])
-        sets.append(frozenset(int(c) + 1 for c in cols))
+    if len({sum(g.exps) for g in gens}) != 1:
+        raise PreconditionError("set_map_colon needs generators of a single degree")
+    n = gens[0].n
+    # Column-major copy: the check below reads a few variables over a prefix of rows.
+    cols_by_var = np.array([g.exps for g in gens], dtype=np.int32).T.copy()
+    # below[w] has bit j set when w * x_j is an earlier generator.
+    below: dict[tuple[int, ...], int] = {}
+    sets: list[frozenset[int]] = []
+    for i, g in enumerate(gens):
+        u = g.exps
+        drops = [(u[:k] + (u[k] - 1,) + u[k + 1 :], k) for k in range(n) if u[k]]
+        mask = 0
+        for w, _ in drops:
+            mask |= below.get(w, 0)
+        found = [j for j in range(n) if mask >> j & 1]
+        # Linear quotients: every earlier u_t exceeds u in some variable of set(u).
+        if i and (
+            not found
+            or not (cols_by_var[found, :i] > cols_by_var[found, i : i + 1]).any(axis=0).all()
+        ):
+            raise NotLinearQuotientsError(i, g)
+        sets.append(frozenset(j + 1 for j in found))
+        for w, k in drops:
+            below[w] = below.get(w, 0) | 1 << k
     return SetMap(gens, tuple(sets))
 
 

@@ -19,8 +19,8 @@ class Monomial:
     __slots__ = ("exps",)
 
     def __init__(self, exps: Iterable[int]):
-        exps = tuple(int(e) for e in exps)
-        if any(e < 0 for e in exps):
+        exps = tuple(map(int, exps))
+        if exps and min(exps) < 0:
             raise ValueError(f"negative exponent in {exps}")
         object.__setattr__(self, "exps", exps)
 
@@ -61,18 +61,24 @@ class Monomial:
     def is_one(self) -> bool:
         return not any(self.exps)
 
+    def _same_ring(self, other: "Monomial") -> None:
+        if len(self.exps) != len(other.exps):
+            raise ValueError("ambient variable counts differ")
+
     def divides(self, other: "Monomial") -> bool:
+        self._same_ring(other)
         return all(a <= b for a, b in zip(self.exps, other.exps))
 
     def gcd(self, other: "Monomial") -> "Monomial":
+        self._same_ring(other)
         return Monomial(tuple(min(a, b) for a, b in zip(self.exps, other.exps)))
 
     def lcm(self, other: "Monomial") -> "Monomial":
+        self._same_ring(other)
         return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        if self.n != other.n:
-            raise ValueError("ambient variable counts differ")
+        self._same_ring(other)
         return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
 
     def __pow__(self, k: int) -> "Monomial":
@@ -143,14 +149,15 @@ class MonomialIdeal:
     __slots__ = ("n", "gens")
 
     def __init__(self, n: int, gens: Iterable[Monomial] = ()):
-        tuples = []
+        # Keep the caller's Monomial objects: the first one seen per exponent tuple.
+        by_exps: dict[tuple[int, ...], Monomial] = {}
         for g in gens:
             if g.n != n:
                 raise ValueError(f"generator {g} has {g.n} variables, expected {n}")
-            tuples.append(g.exps)
+            by_exps.setdefault(g.exps, g)
         object.__setattr__(self, "n", int(n))
         object.__setattr__(
-            self, "gens", tuple(Monomial(t) for t in _minimalize_tuples(n, tuples))
+            self, "gens", tuple(by_exps[t] for t in _minimalize_tuples(n, by_exps))
         )
 
     @classmethod

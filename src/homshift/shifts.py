@@ -66,7 +66,10 @@ def hs_linear_quotients(sm: SetMap, i: int) -> MonomialIdeal:
         if len(su) < i:
             continue
         for F in combinations(sorted(su), i):
-            gens.append(Monomial.from_support(n, F) * u)
+            exps = list(u.exps)
+            for v in F:
+                exps[v - 1] += 1
+            gens.append(Monomial(exps))
     return MonomialIdeal(n, gens)
 
 

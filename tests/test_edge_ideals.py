@@ -138,6 +138,32 @@ def test_set_map_colon_rejects_non_linear_quotients():
         set_map_colon([Monomial((1, 0)), Monomial((1, 0))])
 
 
+def test_set_map_colon_check_rejects_nonempty_set():
+    # set(x1^2) = {2} is found, but the colon (x3^2, x2x3, x1x2) : x1^2 = (x2, x3^2).
+    order = [Monomial((0, 0, 2)), Monomial((0, 1, 1)), Monomial((1, 1, 0)), Monomial((2, 0, 0))]
+    with pytest.raises(NotLinearQuotientsError) as err:
+        set_map_colon(order)
+    assert err.value.index == 3
+    assert set_map_colon(order[:3]).sets == (frozenset(), {3}, {3})
+
+
+def test_set_map_colon_rejects_mixed_degrees():
+    with pytest.raises(PreconditionError):
+        set_map_colon([Monomial((1, 1, 0)), Monomial((0, 0, 1))])
+
+
+def test_set_map_matches_generic_colon():
+    # The generic colon in monomials shares no code with the set-map lookup.
+    for n in range(2, 6):
+        for g in connected_graphs(n):
+            for s in (1, 2):
+                sm = power_set_map(g, s)
+                for i, (u, su) in enumerate(sm.items()):
+                    variables = [Monomial.variable(n, v) for v in su]
+                    colon = MonomialIdeal(n, sm.gens[:i]).colon(u)
+                    assert colon == MonomialIdeal(n, variables)
+
+
 def test_set_via_even_connected_examples():
     c4 = CycleLabeling(4).graph
     f = next(f for f in power_generators(c4, 1) if f.monomial == Monomial((0, 0, 1, 1)))

@@ -40,6 +40,21 @@ def test_monomial_basics():
     assert mono(1, 2).lcm(mono(2, 1)) == mono(2, 2)
 
 
+def test_divides_rejects_variable_count_mismatch():
+    with pytest.raises(ValueError):
+        mono(1, 0).divides(mono(1, 0, 0))
+
+
+def test_gcd_rejects_variable_count_mismatch():
+    with pytest.raises(ValueError):
+        mono(1, 2).gcd(mono(1, 2, 3))
+
+
+def test_lcm_rejects_variable_count_mismatch():
+    with pytest.raises(ValueError):
+        mono(1, 2, 3).lcm(mono(1, 2))
+
+
 def test_minimalize_examples():
     assert minimalize(2, [mono(1, 0), mono(1, 1)]) == ideal(2, (1, 0))
     assert minimalize(2, []) == MonomialIdeal.zero(2)
