@@ -243,8 +243,8 @@ def betti_table(
     gen_cap: int = DEFAULT_GEN_CAP,
     size_cap: int = DEFAULT_LATTICE_CAP,
 ) -> BettiTable:
-    """The full Betti table over the lcm lattice, cached per ideal and field."""
-    key = (ideal, field)
+    """The full Betti table over the lcm lattice, cached per ideal, field and caps."""
+    key = (ideal, field, gen_cap, size_cap)
     cached = _TABLE_CACHE.get(key)
     if cached is not None:
         return cached

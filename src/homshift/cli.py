@@ -1,4 +1,4 @@
-"""Command-line surface: graph ingestion, computations, and verification suites.
+"""Command-line surface: graph ingestion, computations, and the verify runner.
 
 Exit codes: 0 success, 2 malformed input, 3 precondition violation,
 4 verification failure.  All JSON output is canonical (sorted keys, fixed
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import corpus
@@ -21,9 +20,6 @@ from .edge_ideals import (
     pd_of_power,
     power_generators,
     power_set_map,
-    set_cycle,
-    set_tree,
-    set_via_even_connected,
 )
 from .errors import InputFormatError, OracleCapError, PreconditionError
 from .graphs import (
@@ -36,18 +32,7 @@ from .graphs import (
     lex_labeled_copy,
 )
 from .monomials import MonomialIdeal, VeroneseSpec, veronese_type
-from .shifts import (
-    caterpillar_realization,
-    check_hs_maximal_identity,
-    hs_closed_form,
-    hs_cycle_formula,
-    hs_linear_quotients,
-    hs_power,
-    hs_tree_formula,
-    j_ideal,
-    k_ideal,
-    veronese_structure_check,
-)
+from .shifts import caterpillar_realization, hs_closed_form, hs_power
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -220,216 +205,40 @@ def cmd_caterpillar(args) -> int:
 
 def cmd_veronese(args) -> int:
     caps = _parse_int_vector(args.caps, "--caps")
+    if any(c < 0 for c in caps):
+        raise PreconditionError("caps must be nonnegative")
     if args.d < 0 or args.d > sum(caps):
         raise PreconditionError(f"degree must lie in [0, {sum(caps)}]")
     _print_ideal(veronese_type(VeroneseSpec(caps, args.d)), args.format)
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verify suites
-# ---------------------------------------------------------------------------
-
-
-def _tree_corpus(max_n: int, seed: int, cap: int = 250):
-    for n in range(2, max_n + 1):
-        trees = list(corpus.distance_labeled_trees(n))
-        if len(trees) > cap:
-            trees = random.Random(seed).sample(trees, cap)
-            trees.sort(key=lambda t: t.graph.edges)
-        yield from trees
-
-
-def _cycle_corpus(max_n: int):
-    yield from corpus.cycles(max_n)
-
-
-def _all_profiles(total_max: int):
-    def compositions(rem, prefix):
-        if rem == 0:
-            yield prefix
-            return
-        for first in range(1, rem + 1):
-            yield from compositions(rem - first, prefix + (first,))
-
-    for total in range(1, total_max + 1):
-        yield from compositions(total, ())
-
-
-def _suite_set_maps(max_n, seed, oracle_on):
-    for t in _tree_corpus(max_n, seed):
-        g = t.graph
-        for s in range(1, 4):
-            facts = power_generators(g, s)
-            sm = power_set_map(g, s)
-            ok = all(
-                su == set_via_even_connected(g, f) == set_tree(t, f)
-                for f, su in zip(facts, sm.sets)
-            )
-            yield {
-                "check": "set-maps/tree",
-                "instance": {"edges": [list(e) for e in g.edges], "n": g.n, "s": s},
-                "verdict": ok,
-                "lhs_gens": len(facts),
-                "rhs_gens": len(facts),
-            }
-    for c in _cycle_corpus(max_n):
-        g = c.graph
-        for s in range(1, 4):
-            facts = power_generators(g, s)
-            sm = power_set_map(g, s)
-            ok = all(
-                su == set_via_even_connected(g, f) == set_cycle(c, f)
-                for f, su in zip(facts, sm.sets)
-            )
-            yield {
-                "check": "set-maps/cycle",
-                "instance": {"n": g.n, "s": s},
-                "verdict": ok,
-                "lhs_gens": len(facts),
-                "rhs_gens": len(facts),
-            }
-
-
-def _suite_hs_formulas(max_n, seed, oracle_on):
-    for t in _tree_corpus(max_n, seed):
-        for s in range(1, 4):
-            sm = power_set_map(t.graph, s)
-            for i in range(1, s + 1):
-                lhs = hs_tree_formula(t, i, s)
-                rhs = hs_linear_quotients(sm, i)
-                yield {
-                    "check": "hs-formulas/tree",
-                    "instance": {
-                        "edges": [list(e) for e in t.graph.edges],
-                        "n": t.n,
-                        "i": i,
-                        "s": s,
-                    },
-                    "verdict": lhs == rhs,
-                    "lhs_gens": lhs.num_gens(),
-                    "rhs_gens": rhs.num_gens(),
-                }
-    for c in _cycle_corpus(max_n):
-        for s in range(1, 4):
-            sm = power_set_map(c.graph, s)
-            for i in range(1, c.n):
-                if s < i // 2:
-                    continue
-                lhs = hs_cycle_formula(c, i, s)
-                rhs = hs_linear_quotients(sm, i)
-                yield {
-                    "check": "hs-formulas/cycle",
-                    "instance": {"n": c.n, "i": i, "s": s},
-                    "verdict": lhs == rhs,
-                    "lhs_gens": lhs.num_gens(),
-                    "rhs_gens": rhs.num_gens(),
-                }
-
-
-def _suite_maximal_identity(max_n, seed, oracle_on):
-    graphs = [t.graph for t in _tree_corpus(min(max_n, 5), seed)]
-    graphs += [c.graph for c in _cycle_corpus(min(max_n, 5))]
-    for g in graphs:
-        for i in range(1, g.n + 1):
-            instance = {"edges": [list(e) for e in g.edges], "n": g.n, "i": i}
-            if not oracle_on:
-                yield {
-                    "check": "maximal-identity",
-                    "instance": instance,
-                    "verdict": None,
-                    "skipped": True,
-                }
-                continue
-            ideal = comp_edge_ideal(g)
-            result = check_hs_maximal_identity(ideal, i, set_map=power_set_map(g, 1))
-            yield {
-                "check": "maximal-identity",
-                "instance": instance,
-                "verdict": result.verdict,
-                "lhs_gens": (result.hs_i + result.hs_prev_of_max_multiple).num_gens(),
-                "rhs_gens": result.target.num_gens(),
-            }
-
-
-def _suite_veronese(max_n, seed, oracle_on):
-    for t in _tree_corpus(max_n, seed):
-        if t.n < 3:
-            continue
-        for i in range(1, t.n - 1):
-            yield {
-                "check": "veronese",
-                "instance": {"edges": [list(e) for e in t.graph.edges], "n": t.n, "i": i},
-                "verdict": veronese_structure_check(t, i),
-                "lhs_gens": j_ideal(t, i).num_gens(),
-                "rhs_gens": k_ideal(t, i).num_gens(),
-            }
-
-
-def _suite_caterpillar(max_n, seed, oracle_on):
-    for profile in _all_profiles(min(max_n, 5)):
-        for d in range(1, sum(profile) + 1):
-            spec = VeroneseSpec(profile, d)
-            _, _, verdict = caterpillar_realization(spec)
-            yield {
-                "check": "caterpillar",
-                "instance": {"profile": list(profile), "d": d},
-                "verdict": verdict,
-                "lhs_gens": veronese_type(spec).num_gens(),
-                "rhs_gens": veronese_type(spec).num_gens(),
-            }
-
-
-def _suite_monotonicity(max_n, seed, oracle_on):
-    # n = 2 yields the unit ideal (pd 0); the 1-or-2 dichotomy starts at n = 3.
-    graphs = [t.graph for t in _tree_corpus(max_n, seed) if t.n >= 3]
-    graphs += [c.graph for c in _cycle_corpus(max_n)]
-    for g in graphs:
-        pds = [pd_of_power(g, s) for s in range(1, 5)]
-        nondecr = all(a <= b for a, b in zip(pds, pds[1:]))
-        first_ok = (pds[0] == 1) == is_tree(g) and pds[0] in (1, 2)
-        strict_ok = True
-        if g.n >= 3:
-            scan = [pd_of_power(g, s) for s in range(1, g.n - 1)]
-            strict_ok = all(
-                b > a for a, b in zip(scan, scan[1:]) if a < g.n - 2
-            )
-        yield {
-            "check": "monotonicity",
-            "instance": {"edges": [list(e) for e in g.edges], "n": g.n},
-            "verdict": nondecr and first_ok and strict_ok,
-            "lhs_gens": pds[0],
-            "rhs_gens": pds[-1],
-        }
-
-
-SUITES = {
-    "set-maps": _suite_set_maps,
-    "hs-formulas": _suite_hs_formulas,
-    "maximal-identity": _suite_maximal_identity,
-    "veronese": _suite_veronese,
-    "caterpillar": _suite_caterpillar,
-    "monotonicity": _suite_monotonicity,
-}
-
-
 def cmd_verify(args) -> int:
     if args.suite == "all":
-        names = list(SUITES)
-    elif args.suite in SUITES:
+        names = list(corpus.SUITES)
+    elif args.suite in corpus.SUITES:
         names = [args.suite]
     else:
         raise InputFormatError(
-            f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)} or all"
+            f"unknown suite {args.suite!r}; choose from {', '.join(corpus.SUITES)} or all"
         )
     if not 2 <= args.max_n <= 7:
         raise PreconditionError("--max-n must lie in [2, 7]")
     failed = False
     for name in names:
-        for record in SUITES[name](args.max_n, args.seed, not args.no_oracle):
+        suite = corpus.SUITES[name]
+        for subject, params in suite.instances(args.max_n):
+            if suite.needs_oracle and args.no_oracle:
+                record = {
+                    "check": name,
+                    "instance": corpus.describe_instance(subject, **params),
+                    "verdict": None,
+                    "skipped": True,
+                }
+            else:
+                record = suite.check(subject, **params)
             print(_dump(record))
-            if record.get("verdict") is False:
-                failed = True
+            failed |= record["verdict"] is False
     return EXIT_VERIFICATION if failed else EXIT_OK
 
 
@@ -486,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         default="all",
-        help=f"one of: {', '.join(SUITES)}, all (default all)",
+        help=f"one of: {', '.join(corpus.SUITES)}, all (default all)",
     )
     p.add_argument("--max-n", type=int, default=5, help="largest vertex count (<= 7)")
     p.add_argument(
@@ -494,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip Betti-oracle-backed checks, reporting them as skipped",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for corpus sampling")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("caterpillar", help="realize a Veronese-type ideal on a caterpillar")

@@ -1,25 +1,52 @@
-"""Built-in verification corpora: labeled trees, cycles, and small connected graphs.
+"""Built-in verification corpora and the registered checks that run over them.
 
 Trees are enumerated exhaustively through their sequence encoding, then
 pushed through the deterministic distance labeling and deduplicated; many
 source labelings collapse onto the same admissibly labeled tree, and one
 copy of each suffices for checks that only see the labeled result.
+
+Each claim that ``homshift verify`` checks has one check function here,
+taking one instance and returning its verify record.  ``SUITES`` pairs each check with the
+instances it covers up to a vertex count; ``homshift verify`` and the
+acceptance tests both iterate it.
 """
 
 from __future__ import annotations
 
 import heapq
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
+from typing import Callable, Iterator, NamedTuple
 
+from .edge_ideals import (
+    comp_edge_ideal,
+    pd_of_power,
+    power_generators,
+    power_set_map,
+    set_cycle,
+    set_tree,
+    set_via_even_connected,
+)
 from .graphs import (
     Graph,
     LabeledTree,
     CycleLabeling,
     is_bipartite,
     is_connected,
+    is_tree,
     lex_labeled_copy,
     tree_distance_labeling,
+)
+from .monomials import VeroneseSpec, veronese_type
+from .shifts import (
+    caterpillar_realization,
+    check_hs_maximal_identity,
+    hs_cycle_formula,
+    hs_linear_quotients,
+    hs_tree_formula,
+    j_ideal,
+    k_ideal,
+    veronese_structure_check,
 )
 
 
@@ -91,5 +118,193 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(out)
 
 
-def connected_bipartite_graphs(n: int) -> tuple[Graph, ...]:
-    return tuple(g for g in connected_graphs(n) if is_bipartite(g))
+# ---------------------------------------------------------------------------
+# registered checks: one instance in, one verify record out
+# ---------------------------------------------------------------------------
+
+
+def describe_instance(subject, **params) -> dict:
+    """The JSON form of a check instance, as verify records print it.
+
+    Cycles are named by their size alone, trees and graphs by n and edges,
+    Veronese specs by profile and degree; ``params`` are added as given.
+    """
+    if isinstance(subject, CycleLabeling):
+        doc = {"n": subject.n}
+    elif isinstance(subject, VeroneseSpec):
+        doc = {"profile": list(subject.caps), "d": subject.degree}
+    else:
+        g = subject.graph if isinstance(subject, LabeledTree) else subject
+        doc = {"edges": [list(e) for e in g.edges], "n": g.n}
+    return {**doc, **params}
+
+
+def _record(check: str, subject, params: dict, verdict: bool, lhs_gens: int, rhs_gens: int):
+    return {
+        "check": check,
+        "instance": describe_instance(subject, **params),
+        "verdict": verdict,
+        "lhs_gens": lhs_gens,
+        "rhs_gens": rhs_gens,
+    }
+
+
+def check_set_maps(x: LabeledTree | CycleLabeling, s: int) -> dict:
+    """Colon, even-connected and tree/cycle set maps agree on every generator of I^s."""
+    kind, closed = ("tree", set_tree) if isinstance(x, LabeledTree) else ("cycle", set_cycle)
+    facts = power_generators(x.graph, s)
+    ok = all(
+        su == set_via_even_connected(x.graph, f) == closed(x, f)
+        for f, su in zip(facts, power_set_map(x.graph, s).sets)
+    )
+    return _record(f"set-maps/{kind}", x, {"s": s}, ok, len(facts), len(facts))
+
+
+def check_hs_formulas(x: LabeledTree | CycleLabeling, i: int, s: int) -> dict:
+    """The tree/cycle closed form of HS_i(I^s) equals the linear-quotient one."""
+    if isinstance(x, LabeledTree):
+        kind, lhs = "tree", hs_tree_formula(x, i, s)
+    else:
+        kind, lhs = "cycle", hs_cycle_formula(x, i, s)
+    rhs = hs_linear_quotients(power_set_map(x.graph, s), i)
+    return _record(
+        f"hs-formulas/{kind}", x, {"i": i, "s": s}, lhs == rhs, lhs.num_gens(), rhs.num_gens()
+    )
+
+
+def check_maximal_identity(g: Graph, i: int) -> dict:
+    """HS_i(I) + HS_{i-1}(mI) = m^[i] I for I = I_c(g), and HS_n(I) = 0.
+
+    Needs the Betti oracle for HS_{i-1}(mI); g must be suffix-connected.
+    """
+    result = check_hs_maximal_identity(comp_edge_ideal(g), i, set_map=power_set_map(g, 1))
+    verdict = result.verdict and (i < g.n or result.hs_i.is_zero())
+    lhs = result.hs_i + result.hs_prev_of_max_multiple
+    return _record(
+        "maximal-identity", g, {"i": i}, verdict, lhs.num_gens(), result.target.num_gens()
+    )
+
+
+def check_veronese(t: LabeledTree, i: int) -> dict:
+    """The blocks J_i, K_i of the tree shifts have the Veronese-type structure."""
+    return _record(
+        "veronese",
+        t,
+        {"i": i},
+        veronese_structure_check(t, i),
+        j_ideal(t, i).num_gens(),
+        k_ideal(t, i).num_gens(),
+    )
+
+
+def check_caterpillar(spec: VeroneseSpec) -> dict:
+    """The Veronese-type ideal of spec is realized by a caterpillar tree."""
+    _, _, verdict = caterpillar_realization(spec)
+    gens = veronese_type(spec).num_gens()
+    return _record("caterpillar", spec, {}, verdict, gens, gens)
+
+
+def check_monotonicity(g: Graph) -> dict:
+    """pd of the powers of I_c(g), g connected on n >= 3 vertices.
+
+    pd(I^s) is nondecreasing for s <= 4; pd(I) is 1 for trees and 2
+    otherwise; over s <= n - 2 it rises strictly while below n - 2, and a
+    bipartite g reaches n - 2.
+    """
+    pds = [pd_of_power(g, s) for s in range(1, 5)]
+    scan = [pd_of_power(g, s) for s in range(1, g.n - 1)]
+    verdict = (
+        all(a <= b for a, b in zip(pds, pds[1:]))
+        and pds[0] in (1, 2)
+        and (pds[0] == 1) == is_tree(g)
+        and all(b > a for a, b in zip(scan, scan[1:]) if a < g.n - 2)
+        and (g.n - 2 in scan or not is_bipartite(g))
+    )
+    return _record("monotonicity", g, {}, verdict, pds[0], pds[-1])
+
+
+# ---------------------------------------------------------------------------
+# suites: the instances each check covers up to max_n vertices
+# ---------------------------------------------------------------------------
+
+
+def _trees(max_n: int) -> Iterator[LabeledTree]:
+    for n in range(2, max_n + 1):
+        yield from distance_labeled_trees(n)
+
+
+def _set_map_instances(max_n: int):
+    for x in chain(_trees(max_n), cycles(max_n)):
+        for s in range(1, 4):
+            yield x, {"s": s}
+
+
+def _hs_formula_instances(max_n: int):
+    for t in _trees(max_n):
+        for s in range(1, 4):
+            for i in range(1, s + 1):
+                yield t, {"i": i, "s": s}
+    for c in cycles(max_n):
+        for s in range(1, 4):
+            for i in range(1, c.n):
+                if s >= i // 2:
+                    yield c, {"i": i, "s": s}
+
+
+def _maximal_identity_instances(max_n: int):
+    # The oracle side grows fast with n; five vertices keep it cheap.
+    for x in chain(_trees(min(max_n, 5)), cycles(min(max_n, 5))):
+        for i in range(1, x.n + 1):
+            yield x.graph, {"i": i}
+
+
+def _veronese_instances(max_n: int):
+    for t in _trees(max_n):
+        for i in range(1, t.n - 1):
+            yield t, {"i": i}
+
+
+def _compositions(total: int, prefix: tuple[int, ...] = ()):
+    if total == 0:
+        yield prefix
+    for first in range(1, total + 1):
+        yield from _compositions(total - first, prefix + (first,))
+
+
+def _caterpillar_instances(max_n: int):
+    for total in range(1, min(max_n, 5) + 1):
+        for profile in _compositions(total):
+            for d in range(1, total + 1):
+                yield VeroneseSpec(profile, d), {}
+
+
+def _monotonicity_instances(max_n: int):
+    # n = 2 yields the unit ideal (pd 0); the 1-or-2 dichotomy starts at n = 3.
+    for x in chain(_trees(max_n), cycles(max_n)):
+        if x.n >= 3:
+            yield x.graph, {}
+
+
+class Suite(NamedTuple):
+    """A registered check and the (subject, params) instances it runs on.
+
+    ``check(subject, **params)`` returns the verify record of one instance;
+    ``instances(max_n)`` lists them up to max_n vertices.  Suites that need
+    the Betti oracle can be skipped with ``verify --no-oracle``.
+    """
+
+    check: Callable[..., dict]
+    instances: Callable[[int], Iterator[tuple[object, dict]]]
+    needs_oracle: bool = False
+
+
+SUITES = {
+    "set-maps": Suite(check_set_maps, _set_map_instances),
+    "hs-formulas": Suite(check_hs_formulas, _hs_formula_instances),
+    "maximal-identity": Suite(
+        check_maximal_identity, _maximal_identity_instances, needs_oracle=True
+    ),
+    "veronese": Suite(check_veronese, _veronese_instances),
+    "caterpillar": Suite(check_caterpillar, _caterpillar_instances),
+    "monotonicity": Suite(check_monotonicity, _monotonicity_instances),
+}

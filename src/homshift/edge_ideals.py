@@ -52,6 +52,16 @@ def comp_edge_ideal(g: Graph) -> MonomialIdeal:
     return MonomialIdeal(g.n, tuple(gens))
 
 
+def _power_exponents(g: Graph, multiset: tuple) -> tuple[int, ...]:
+    """Exponents of alpha^s divided by the product of the s edges in ``multiset``."""
+    s = len(multiset)
+    exps = [s] * g.n
+    for a, b in multiset:
+        exps[a - 1] -= 1
+        exps[b - 1] -= 1
+    return tuple(exps)
+
+
 @dataclass(frozen=True)
 class Factorization:
     """A power generator written as alpha^s divided by a multiset of s edges."""
@@ -63,21 +73,7 @@ class Factorization:
     @classmethod
     def build(cls, g: Graph, edges: EdgeMultiset) -> "Factorization":
         edges.validate_hosted(g)
-        s = edges.total
-        exps = [s] * g.n
-        for (a, b), c in edges.items():
-            exps[a - 1] -= c
-            exps[b - 1] -= c
-        return cls(s, edges, Monomial(exps))
-
-
-def _power_exponents(g: Graph, multiset: tuple) -> tuple[int, ...]:
-    s = len(multiset)
-    exps = [s] * g.n
-    for a, b in multiset:
-        exps[a - 1] -= 1
-        exps[b - 1] -= 1
-    return tuple(exps)
+        return cls(edges.total, edges, Monomial(_power_exponents(g, edges.as_edge_list())))
 
 
 def _check_power_args(g: Graph, s: int) -> None:
@@ -121,11 +117,6 @@ def power_generators(g: Graph, s: int) -> tuple[Factorization, ...]:
         Factorization(s, EdgeMultiset.from_edges(first[exps]), Monomial(exps))
         for exps in sorted(first, reverse=True)
     )
-
-
-def lex_order(gens: list[Factorization] | tuple[Factorization, ...]) -> list[Factorization]:
-    """Descending lexicographic order on monomials under x1 > ... > xn."""
-    return sorted(gens, key=lambda f: f.monomial.exps, reverse=True)
 
 
 @dataclass(frozen=True)

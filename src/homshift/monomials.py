@@ -255,11 +255,6 @@ class MonomialIdeal:
         return "(" + ", ".join(str(g) for g in self.gens) + ")"
 
 
-def minimalize(n: int, gens: Iterable[Monomial]) -> MonomialIdeal:
-    """Canonical minimal generating set of the ideal generated by ``gens``."""
-    return MonomialIdeal(n, gens)
-
-
 def maximal_ideal(n: int) -> MonomialIdeal:
     """The graded maximal ideal (x1, ..., xn)."""
     return MonomialIdeal(n, tuple(Monomial.variable(n, i) for i in range(1, n + 1)))

@@ -5,35 +5,31 @@ report.  Tree corpora enumerate every sequence-encoded labeled tree and
 keep one copy of each distinct distance-labeled form; graph corpora cover
 all connected graphs up to isomorphism, relabeled admissibly.  All
 comparisons are exact (integer or ideal equality, zero tolerance).
+Criteria with a `homshift verify` suite run the check registered for it in
+`homshift.corpus`, so the CLI and these tests share one implementation.
 """
 
 from homshift import (
-    caterpillar_realization,
-    check_hs_maximal_identity,
     comp_edge_ideal,
     comp_power_ideal,
     hs1_formula,
     hs1_power_identity_check,
     hs1_via_lcm,
-    hs_cycle_formula,
     hs_linear_quotients,
     hs_oracle,
     hs_power,
-    hs_tree_formula,
-    is_bipartite,
-    is_tree,
     pd_linear_quotients,
-    pd_of_power,
     pd_oracle,
-    power_generators,
     power_set_map,
-    set_cycle,
-    set_tree,
-    set_via_even_connected,
-    veronese_structure_check,
-    VeroneseSpec,
 )
-from homshift.corpus import connected_graphs, cycles, distance_labeled_trees
+from homshift.corpus import (
+    SUITES,
+    check_maximal_identity,
+    check_monotonicity,
+    connected_graphs,
+    cycles,
+    distance_labeled_trees,
+)
 
 
 def report(name: str, checked: int, failures: list) -> None:
@@ -45,16 +41,13 @@ def report(name: str, checked: int, failures: list) -> None:
     assert not failures, f"{name}: {failures[:5]}"
 
 
-def all_profiles(total_max):
-    def compositions(rem, prefix):
-        if rem == 0:
-            yield prefix
-            return
-        for first in range(1, rem + 1):
-            yield from compositions(rem - first, prefix + (first,))
+def report_records(name: str, records: list) -> None:
+    report(name, len(records), [r["instance"] for r in records if r["verdict"] is not True])
 
-    for total in range(1, total_max + 1):
-        yield from compositions(total, ())
+
+def suite_records(name: str, max_n: int) -> list:
+    suite = SUITES[name]
+    return [suite.check(x, **params) for x, params in suite.instances(max_n)]
 
 
 def test_criterion_1_tree_pd_formula():
@@ -84,51 +77,15 @@ def test_criterion_2_cycle_pd_formula():
 
 
 def test_criterion_3_set_map_equivalence():
-    checked, failures = 0, []
-    for n in range(2, 7):
-        for t in distance_labeled_trees(n):
-            for s in range(1, 4):
-                facts = power_generators(t.graph, s)
-                sm = power_set_map(t.graph, s)
-                for f, colon_set in zip(facts, sm.sets):
-                    checked += 1
-                    ec = set_via_even_connected(t.graph, f)
-                    tf = set_tree(t, f)
-                    if not colon_set == ec == tf:
-                        failures.append(("tree", n, s, f.monomial.exps))
-    for c in cycles(6):
-        for s in range(1, 4):
-            facts = power_generators(c.graph, s)
-            sm = power_set_map(c.graph, s)
-            for f, colon_set in zip(facts, sm.sets):
-                checked += 1
-                ec = set_via_even_connected(c.graph, f)
-                cf = set_cycle(c, f)
-                if not colon_set == ec == cf:
-                    failures.append(("cycle", c.n, s, f.monomial.exps))
-    report("criterion 3: set-map equivalence (n <= 6, s <= 3)", checked, failures)
+    # Trees n <= 6 and cycles n <= 6, s <= 3: colon == even-connected == closed form.
+    records = suite_records("set-maps", 6)
+    report_records("criterion 3: set-map equivalence (n <= 6, s <= 3)", records)
 
 
 def test_criterion_4_hs_closed_forms():
-    checked, failures = 0, []
-    for n in range(2, 7):
-        for t in distance_labeled_trees(n):
-            for s in range(1, 4):
-                sm = power_set_map(t.graph, s)
-                for i in range(1, s + 1):
-                    checked += 1
-                    if hs_tree_formula(t, i, s) != hs_linear_quotients(sm, i):
-                        failures.append(("tree", n, t.graph.edges, i, s))
-    for c in cycles(6):
-        for s in range(1, 4):
-            sm = power_set_map(c.graph, s)
-            for i in range(1, c.n):
-                if s < i // 2:
-                    continue
-                checked += 1
-                if hs_cycle_formula(c, i, s) != hs_linear_quotients(sm, i):
-                    failures.append(("cycle", c.n, i, s))
-    report("criterion 4: HS closed forms (n <= 6, s <= 3)", checked, failures)
+    # Trees n <= 6 (i <= s <= 3) and cycles n <= 6 (s <= 3, i < n, s >= i // 2).
+    records = suite_records("hs-formulas", 6)
+    report_records("criterion 4: HS closed forms (n <= 6, s <= 3)", records)
 
 
 def test_criterion_5_oracle_concordance():
@@ -150,19 +107,13 @@ def test_criterion_5_oracle_concordance():
 
 
 def test_criterion_6_maximal_squarefree_identity():
-    checked, failures = 0, []
-    for n in range(3, 6):
-        for g in connected_graphs(n):
-            ideal = comp_edge_ideal(g)
-            sm = power_set_map(g, 1)
-            for i in range(1, n + 1):
-                checked += 1
-                result = check_hs_maximal_identity(ideal, i, set_map=sm)
-                if not result.verdict:
-                    failures.append((n, g.edges, i))
-                if i == n and not result.hs_i.is_zero():
-                    failures.append((n, g.edges, "HS_n nonzero"))
-    report("criterion 6: HS_i(I) + HS_{i-1}(mI) = m^[i] I (n <= 5)", checked, failures)
+    records = [
+        check_maximal_identity(g, i)
+        for n in range(3, 6)
+        for g in connected_graphs(n)
+        for i in range(1, n + 1)
+    ]
+    report_records("criterion 6: HS_i(I) + HS_{i-1}(mI) = m^[i] I (n <= 5)", records)
 
 
 def test_criterion_7_hs1_structure():
@@ -181,52 +132,20 @@ def test_criterion_7_hs1_structure():
 
 
 def test_criterion_8_veronese_structure():
-    checked, failures = 0, []
-    for n in range(3, 8):
-        for t in distance_labeled_trees(n):
-            for i in range(1, n - 1):
-                checked += 1
-                if not veronese_structure_check(t, i):
-                    failures.append((n, t.graph.edges, i))
-    report("criterion 8: Veronese structure of tree shifts (n <= 7)", checked, failures)
+    # Every tree on 3..7 vertices, 1 <= i <= n - 2.
+    records = suite_records("veronese", 7)
+    report_records("criterion 8: Veronese structure of tree shifts (n <= 7)", records)
 
 
 def test_criterion_9_caterpillar_realization():
-    checked, failures = 0, []
-    for profile in all_profiles(5):
-        for d in range(1, sum(profile) + 1):
-            checked += 1
-            _, _, verdict = caterpillar_realization(VeroneseSpec(profile, d))
-            if not verdict:
-                failures.append((profile, d))
-    report("criterion 9: caterpillar realization (|a| <= 5)", checked, failures)
+    # Every profile of positive caps with |a| <= 5, every degree 1 <= d <= |a|.
+    records = suite_records("caterpillar", 5)
+    report_records("criterion 9: caterpillar realization (|a| <= 5)", records)
 
 
 def test_criterion_10_monotonicity():
-    checked, failures = 0, []
-    scan_graphs = [t.graph for n in range(3, 7) for t in distance_labeled_trees(n)]
-    scan_graphs += [c.graph for c in cycles(7)]
-    for g in scan_graphs:
-        pds = [pd_of_power(g, s) for s in range(1, 5)]
-        checked += 1
-        if any(a > b for a, b in zip(pds, pds[1:])):
-            failures.append(("nondecreasing", g.edges, pds))
-    for n in range(3, 6):
-        for g in connected_graphs(n):
-            pds = [pd_of_power(g, s) for s in range(1, 4)]
-            checked += 1
-            if any(a > b for a, b in zip(pds, pds[1:])):
-                failures.append(("nondecreasing", g.edges, pds))
-    for n in range(3, 7):
-        for g in connected_graphs(n):
-            checked += 1
-            pd1 = pd_of_power(g, 1)
-            if pd1 not in (1, 2) or (pd1 == 1) != is_tree(g):
-                failures.append(("dichotomy", g.edges, pd1))
-            if is_bipartite(g):
-                scan = [pd_of_power(g, s) for s in range(1, n - 1)]
-                checked += 1
-                strict = all(b > a for a, b in zip(scan, scan[1:]) if a < n - 2)
-                if not strict or (n - 2) not in scan:
-                    failures.append(("strict", g.edges, scan))
-    report("criterion 10: pd monotonicity and dichotomy", checked, failures)
+    graphs = [t.graph for n in range(3, 7) for t in distance_labeled_trees(n)]
+    graphs += [c.graph for c in cycles(7)]
+    graphs += [g for n in range(3, 7) for g in connected_graphs(n)]
+    records = [check_monotonicity(g) for g in graphs]
+    report_records("criterion 10: pd monotonicity and dichotomy", records)

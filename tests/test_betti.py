@@ -170,3 +170,12 @@ def test_betti_table_export_shape():
     assert rows == sorted(rows, key=lambda r: (r["i"], r["deg"]))
     assert all(r["beta"] > 0 for r in rows)
     assert {r["i"] for r in rows} == {0, 1}
+
+
+def test_betti_table_cache_respects_caps():
+    I = comp_edge_ideal(CycleLabeling(4).graph)
+    betti_table(I)
+    with pytest.raises(OracleCapError):
+        betti_table(I, gen_cap=2)
+    with pytest.raises(OracleCapError):
+        betti_table(I, size_cap=3)

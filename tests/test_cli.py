@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from homshift import MonomialIdeal
+from homshift import MonomialIdeal, corpus
 from homshift.cli import main
 
 
@@ -72,6 +73,8 @@ def test_precondition_exit_codes(capsys, tmp_path):
     assert code == 3
     code, _, _ = run(capsys, "caterpillar", "--profile", "1", "--d", "2")
     assert code == 3
+    code, _, err = run(capsys, "veronese", "--caps=-1,2", "--d", "1")
+    assert code == 3 and "precondition" in err
 
 
 def test_pd_command_with_closed_form(capsys, c4):
@@ -150,6 +153,31 @@ def test_verify_deterministic_and_green(capsys):
         "caterpillar",
         "monotonicity",
     } <= checks
+
+
+def test_verify_output_digest(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-n", "5")
+    assert code == 0 and len(out.splitlines()) == 326
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "ae46d357bfacbe293b68f0b0f3ab3eb236f9579b6ab5d948493412b552b07921"
+
+
+def test_verify_failing_check_exits_4(capsys, monkeypatch):
+    suite = corpus.SUITES["caterpillar"]
+
+    def failing(spec, **params):
+        record = suite.check(spec, **params)
+        return dict(record, verdict=False) if spec.caps == (2, 1) else record
+
+    monkeypatch.setitem(corpus.SUITES, "caterpillar", suite._replace(check=failing))
+    code, out, _ = run(capsys, "verify", "--suite", "caterpillar", "--max-n", "3")
+    assert code == 4
+    failed = [json.loads(line) for line in out.splitlines() if '"verdict":false' in line]
+    assert [r["instance"] for r in failed] == [
+        {"profile": [2, 1], "d": 1},
+        {"profile": [2, 1], "d": 2},
+        {"profile": [2, 1], "d": 3},
+    ]
 
 
 def test_verify_no_oracle_reports_skips(capsys):

@@ -8,7 +8,6 @@ from homshift import (
     has_strong_exchange,
     is_polymatroidal,
     maximal_ideal,
-    minimalize,
     squarefree_power_of_maximal,
     veronese_type,
 )
@@ -56,9 +55,10 @@ def test_lcm_rejects_variable_count_mismatch():
 
 
 def test_minimalize_examples():
-    assert minimalize(2, [mono(1, 0), mono(1, 1)]) == ideal(2, (1, 0))
-    assert minimalize(2, []) == MonomialIdeal.zero(2)
-    got = minimalize(3, [mono(1, 1, 0), mono(0, 1, 1), mono(1, 1, 1)])
+    # The constructor keeps only the minimal generators.
+    assert MonomialIdeal(2, [mono(1, 0), mono(1, 1)]) == ideal(2, (1, 0))
+    assert MonomialIdeal(2, []) == MonomialIdeal.zero(2)
+    got = MonomialIdeal(3, [mono(1, 1, 0), mono(0, 1, 1), mono(1, 1, 1)])
     assert got == ideal(3, (1, 1, 0), (0, 1, 1))
 
 
