@@ -51,9 +51,6 @@ class SimplicialComplex:
     def is_void(self) -> bool:
         return not self.facets
 
-    def dim(self) -> int:
-        return max((len(f) for f in self.facets), default=0) - 1
-
     def faces_by_dim(self) -> dict[int, list[tuple[int, ...]]]:
         """All faces grouped by dimension; the empty face has dimension -1."""
         if self.is_void():
@@ -285,14 +282,9 @@ def pd_oracle(ideal: MonomialIdeal, field: int = 0) -> int:
 
 
 def betti_monotonicity_check(J: MonomialIdeal, I: MonomialIdeal, field: int = 0) -> bool:
-    """Whether beta_{i,a}(J) <= beta_{i,a}(I) over both lcm lattices, all i."""
+    """Whether beta_{i,a}(J) <= beta_{i,a}(I) for every i and multidegree a."""
     if J.n != I.n:
         raise ValueError("ambient variable counts differ")
-    degrees = {a.exps for a in lcm_lattice(J)} | {a.exps for a in lcm_lattice(I)}
-    top = max(pd_oracle(J, field), pd_oracle(I, field))
-    for i in range(top + 1):
-        for exps in degrees:
-            a = Monomial(exps)
-            if betti(J, i, a, field) > betti(I, i, a, field):
-                return False
-    return True
+    lower = betti_table(J, field).entries
+    upper = betti_table(I, field).entries
+    return all(b <= upper.get(key, 0) for key, b in lower.items())

@@ -61,6 +61,11 @@ def _require_connected(g: Graph) -> None:
         raise PreconditionError("this command requires a connected graph")
 
 
+def _require_power(s: int) -> None:
+    if s < 1:
+        raise PreconditionError("power must be at least 1")
+
+
 def _parse_int_vector(text: str, name: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part.strip() != "")
@@ -76,6 +81,7 @@ def _print_ideal(ideal: MonomialIdeal, fmt: str) -> None:
 
 
 def cmd_ideal(args) -> int:
+    _require_power(args.s)
     g = _load_graph(args.graph)
     if not g.edges:
         raise InputFormatError("graph has no edges; the complementary edge ideal is undefined")
@@ -89,6 +95,7 @@ def cmd_ideal(args) -> int:
 
 
 def cmd_pd(args) -> int:
+    _require_power(args.s_max)
     g = _load_graph(args.graph)
     _require_connected(g)
     closed = is_tree(g) or is_cycle_graph(g)
@@ -159,6 +166,7 @@ def cmd_setmap(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _require_power(args.s)
     g = _load_graph(args.graph)
     if not g.edges:
         raise InputFormatError("graph has no edges")

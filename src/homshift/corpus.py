@@ -1,9 +1,9 @@
 """Built-in verification corpora and the registered checks that run over them.
 
-Trees are enumerated exhaustively through their sequence encoding, then
-pushed through the deterministic distance labeling and deduplicated; many
-source labelings collapse onto the same admissibly labeled tree, and one
-copy of each suffices for checks that only see the labeled result.
+Trees are enumerated through their parent maps: an admissibly labeled tree
+on [n] sends each j <= n-2 to a parent phi(j) in {j+1, ..., n-1} and joins
+n-1 to the root leaf n.  Of these (n-2)! trees the corpus keeps those the
+deterministic distance labeling leaves unchanged, one per labeled result.
 
 Each claim that ``homshift verify`` checks has one check function here,
 taking one instance and returning its verify record.  ``SUITES`` pairs each check with the
@@ -13,7 +13,6 @@ acceptance tests both iterate it.
 
 from __future__ import annotations
 
-import heapq
 from functools import lru_cache
 from itertools import chain, product
 from typing import Callable, Iterator, NamedTuple
@@ -50,45 +49,17 @@ from .shifts import (
 )
 
 
-def tree_from_prufer(n: int, seq: tuple[int, ...]) -> Graph:
-    """Decode a length-(n-2) sequence over [n] into a labeled tree."""
-    if n < 2:
-        raise ValueError("tree decoding needs at least 2 vertices")
-    if len(seq) != n - 2:
-        raise ValueError(f"sequence length {len(seq)} != n - 2")
-    degree = [1] * (n + 1)
-    for v in seq:
-        degree[v] += 1
-    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, v))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return Graph(n, edges)
-
-
-def all_labeled_trees(n: int):
-    """Every labeled tree on [n], one per sequence (n^(n-2) of them)."""
-    if n == 1:
-        return
-    for seq in product(range(1, n + 1), repeat=n - 2):
-        yield tree_from_prufer(n, seq)
-
-
 @lru_cache(maxsize=None)
 def distance_labeled_trees(n: int) -> tuple[LabeledTree, ...]:
-    """Distinct admissibly labeled trees on [n], rooted at each tree's largest leaf."""
-    seen: dict[tuple, LabeledTree] = {}
-    for tree in all_labeled_trees(n):
-        leaves = [v for v in tree.vertices() if tree.degree(v) == 1]
-        labeled = tree_distance_labeling(tree, max(leaves))
-        seen.setdefault(labeled.graph.edges, labeled)
-    return tuple(seen[key] for key in sorted(seen))
+    """Distinct distance-labeled trees on [n] (rooted at the largest leaf), by edge list."""
+    if n < 2:
+        return ()
+    out = []
+    for phi in product(*(range(j + 1, n) for j in range(1, n - 1))):
+        g = Graph(n, [(j, p) for j, p in enumerate(phi, start=1)] + [(n - 1, n)])
+        if tree_distance_labeling(g, n).graph == g:
+            out.append(LabeledTree(g))
+    return tuple(sorted(out, key=lambda t: t.graph.edges))
 
 
 def cycles(n_max: int, n_min: int = 3) -> tuple[CycleLabeling, ...]:

@@ -250,9 +250,6 @@ class LabeledTree:
         """The unique neighbor of j larger than j, for j in [n-1]."""
         return self.parent[j - 1]
 
-    def new_label(self, original: int) -> int:
-        return self.relabeling[original - 1]
-
     def original_name(self, label: int) -> int:
         return self.relabeling.index(label) + 1
 
@@ -331,23 +328,10 @@ def tree_distance_labeling(t: Graph, root_leaf: int) -> LabeledTree:
         raise PreconditionError("distance labeling requires a tree")
     if t.n > 1 and t.degree(root_leaf) != 1:
         raise PreconditionError(f"vertex {root_leaf} is not a leaf")
-    dist = _distances_from(t, root_leaf)
-    discovery = {root_leaf: 0}
-    queue = deque([root_leaf])
-    while queue:
-        v = queue.popleft()
-        for w in t.neighbors(v):
-            if w not in discovery:
-                discovery[w] = len(discovery)
-                queue.append(w)
-    order = sorted(t.vertices(), key=lambda v: (-dist[v], discovery[v]))
-    relabeling = [0] * t.n
-    for label, v in enumerate(order, start=1):
-        relabeling[v - 1] = label
-    relabeled = Graph(
-        t.n, [(relabeling[a - 1], relabeling[b - 1]) for a, b in t.edges]
-    )
-    return LabeledTree(relabeled, tuple(relabeling))
+    dist = _distances_from(t, root_leaf)  # keys in breadth-first discovery order
+    order = sorted(dist, key=lambda v: -dist[v])
+    relabeling = invert_permutation(order)
+    return LabeledTree(relabel_graph(t, relabeling), relabeling)
 
 
 def even_connection_walk(

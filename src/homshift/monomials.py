@@ -270,6 +270,27 @@ def squarefree_power_of_maximal(n: int, i: int) -> MonomialIdeal:
     return MonomialIdeal(n, tuple(gens))
 
 
+def rename_variables(ideal: MonomialIdeal, targets: Sequence[int], n: int) -> MonomialIdeal:
+    """The image of the ideal under x_v -> x_{targets[v-1]}, in n variables.
+
+    targets must send [ideal.n] injectively into [n]: a permutation
+    relabels, an increasing list of positions embeds into a larger ring.
+    The identity returns the ideal itself.
+    """
+    targets = tuple(targets)
+    if len(targets) != ideal.n or len(set(targets) & set(range(1, n + 1))) != ideal.n:
+        raise ValueError(f"targets {targets} do not map [{ideal.n}] injectively into [{n}]")
+    if n == ideal.n and targets == tuple(range(1, n + 1)):
+        return ideal
+    moved = []
+    for g in ideal.gens:
+        exps = [0] * n
+        for t, e in zip(targets, g.exps):
+            exps[t - 1] = e
+        moved.append(Monomial(exps))
+    return MonomialIdeal(n, moved)
+
+
 @dataclass(frozen=True)
 class VeroneseSpec:
     """Cap vector and degree cutting out an ideal of Veronese type."""

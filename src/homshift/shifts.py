@@ -18,7 +18,7 @@ engine falls back to the linear-quotient computation.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, NamedTuple
 
 from .betti import hs_oracle
@@ -49,6 +49,7 @@ from .monomials import (
     divide_out,
     has_strong_exchange,
     maximal_ideal,
+    rename_variables,
     squarefree_power_of_maximal,
     veronese_type,
 )
@@ -73,17 +74,6 @@ def hs_linear_quotients(sm: SetMap, i: int) -> MonomialIdeal:
     return MonomialIdeal(n, gens)
 
 
-def permute_ideal(ideal: MonomialIdeal, perm: tuple[int, ...]) -> MonomialIdeal:
-    """Rename variables by v -> perm[v-1]."""
-    moved = []
-    for g in ideal.gens:
-        exps = [0] * ideal.n
-        for v, e in enumerate(g.exps, start=1):
-            exps[perm[v - 1] - 1] = e
-        moved.append(Monomial(exps))
-    return MonomialIdeal(ideal.n, moved)
-
-
 @lru_cache(maxsize=None)
 def hs_power(g: Graph, i: int, s: int) -> MonomialIdeal:
     """HS_i of the s-th power of the complementary edge ideal of g.
@@ -99,10 +89,7 @@ def hs_power(g: Graph, i: int, s: int) -> MonomialIdeal:
         return MonomialIdeal.unit(g.n) if i == 0 else MonomialIdeal.zero(g.n)
     labeled, perm = lex_labeled_copy(g)
     hs = hs_linear_quotients(power_set_map(labeled, s), i)
-    identity = tuple(range(1, g.n + 1))
-    if perm == identity:
-        return hs
-    return permute_ideal(hs, invert_permutation(perm))
+    return rename_variables(hs, invert_permutation(perm), g.n)
 
 
 def hs1_via_lcm(ideal: MonomialIdeal) -> MonomialIdeal:
@@ -258,19 +245,8 @@ def veronese_structure_check(t: LabeledTree, i: int) -> bool:
 
 def _embed_veronese(spec: VeroneseSpec, t: LabeledTree) -> MonomialIdeal:
     """Lift the Veronese ideal into the caterpillar's ring via its spine vertices."""
-    caps = spec.caps
-    sigma = [0]
-    for x in caps:
-        sigma.append(sigma[-1] + x)
-    n_big = t.n
-    positions = [sigma[j] + 1 for j in range(1, len(caps) + 1)]
-    lifted = []
-    for g in veronese_type(spec).gens:
-        exps = [0] * n_big
-        for idx, e in enumerate(g.exps):
-            exps[positions[idx] - 1] = e
-        lifted.append(Monomial(exps))
-    return MonomialIdeal(n_big, lifted)
+    spine = [total + 1 for total in accumulate(spec.caps)]
+    return rename_variables(veronese_type(spec), spine, t.n)
 
 
 def caterpillar_realization(
@@ -356,13 +332,8 @@ def hs_subgraph_containment_check(
         raise PreconditionError("the subgraph must be connected")
     hs_h = hs_power(h, i, s)
     outside = Monomial.from_support(g.n, set(g.vertices()) - set(vs)) ** s
-    lifted = []
-    for gen in hs_h.gens:
-        exps = [0] * g.n
-        for idx, e in enumerate(gen.exps):
-            exps[vs[idx] - 1] = e
-        lifted.append(Monomial(exps) * outside)
-    return MonomialIdeal(g.n, lifted).is_contained_in(hs_power(g, i, s))
+    lifted = rename_variables(hs_h, vs, g.n).scaled(outside)
+    return lifted.is_contained_in(hs_power(g, i, s))
 
 
 def hs_closed_form(g: Graph, i: int, s: int) -> MonomialIdeal | None:
@@ -378,22 +349,17 @@ def hs_closed_form(g: Graph, i: int, s: int) -> MonomialIdeal | None:
         return comp_power_ideal(g, s)
     if s == 0:
         return MonomialIdeal.zero(g.n)
-    identity = tuple(range(1, g.n + 1))
     if is_tree(g):
         if not 1 <= i <= s:
             return None
         leaves = [v for v in g.vertices() if g.degree(v) == 1]
         t = tree_distance_labeling(g, max(leaves))
-        hs = hs_tree_formula(t, i, s)
-        if t.relabeling == identity:
-            return hs
-        return permute_ideal(hs, invert_permutation(t.relabeling))
-    if is_cycle_graph(g):
+        hs, perm = hs_tree_formula(t, i, s), t.relabeling
+    elif is_cycle_graph(g):
         if not (1 <= i < g.n and s >= i // 2):
             return None
         cyc, perm = cycle_labeling_of(g)
         hs = hs_cycle_formula(cyc, i, s)
-        if perm == identity:
-            return hs
-        return permute_ideal(hs, invert_permutation(perm))
-    return None
+    else:
+        return None
+    return rename_variables(hs, invert_permutation(perm), g.n)

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, printing a pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-report.  Tree corpora enumerate every sequence-encoded labeled tree and
-keep one copy of each distinct distance-labeled form; graph corpora cover
-all connected graphs up to isomorphism, relabeled admissibly.  All
+report.  Tree corpora hold every distinct distance-labeled tree, built
+from the parent maps phi(j) > j that the labeling leaves fixed; graph
+corpora cover all connected graphs up to isomorphism, relabeled admissibly.  All
 comparisons are exact (integer or ideal equality, zero tolerance).
 Criteria with a `homshift verify` suite run the check registered for it in
 `homshift.corpus`, so the CLI and these tests share one implementation.

@@ -128,6 +128,7 @@ def test_betti_monotonicity_examples():
     I = comp_edge_ideal(c4)
     u = I.gens[0]
     assert betti_monotonicity_check(I.scaled(u), I * I)
+    assert not betti_monotonicity_check(I * I, I.scaled(u))
     assert betti_monotonicity_check(I, I)
     # x1 * I_c(P3 on {2,3,4}) inside I_c(P4): the re-embedded subgraph pattern
     p4 = path(4)

@@ -65,7 +65,7 @@ def test_input_error_exit_codes(capsys, tmp_path):
     assert code == 2
 
 
-def test_precondition_exit_codes(capsys, tmp_path):
+def test_precondition_exit_codes(capsys, tmp_path, p4):
     disc = write_graph(tmp_path, "disc.json", {"n": 4, "edges": [[1, 2], [3, 4]]})
     code, _, err = run(capsys, "ideal", "--graph", disc, "--s", "2")
     assert code == 3 and "precondition" in err
@@ -75,6 +75,15 @@ def test_precondition_exit_codes(capsys, tmp_path):
     assert code == 3
     code, _, err = run(capsys, "veronese", "--caps=-1,2", "--d", "1")
     assert code == 3 and "precondition" in err
+    for argv in (
+        ("ideal", "--s", "-2"),
+        ("ideal", "--s", "0"),
+        ("oracle", "--s", "-1"),
+        ("oracle", "--s", "0"),
+        ("pd", "--s-max", "0"),
+    ):
+        code, out, err = run(capsys, *argv, "--graph", p4)
+        assert code == 3 and out == "" and "power must be at least 1" in err
 
 
 def test_pd_command_with_closed_form(capsys, c4):

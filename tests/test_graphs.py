@@ -1,6 +1,7 @@
 from itertools import combinations_with_replacement, product
 
 import pytest
+from networkx import from_prufer_sequence
 
 from homshift import (
     CycleLabeling,
@@ -96,6 +97,22 @@ def test_distance_labelings_always_lex_valid():
             dist = _bfs_dist(t.graph, t.n)
             for i in range(1, t.n):
                 assert dist[i] >= dist[i + 1]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_distance_labeled_trees_match_all_labeled_trees(n):
+    # networkx decodes each labeled tree from its sequence encoding, on 0-based nodes.
+    labeled = set()
+    for seq in product(range(n), repeat=n - 2):
+        tree = Graph(n, [(a + 1, b + 1) for a, b in from_prufer_sequence(list(seq)).edges()])
+        leaves = [v for v in tree.vertices() if tree.degree(v) == 1]
+        labeled.add(tree_distance_labeling(tree, max(leaves)).graph)
+    assert labeled == {t.graph for t in distance_labeled_trees(n)}
+
+
+def test_distance_labeled_tree_counts_are_catalan():
+    counts = [len(distance_labeled_trees(n)) for n in range(2, 9)]
+    assert counts == [1, 1, 2, 5, 14, 42, 132]
 
 
 def _bfs_dist(g, root):

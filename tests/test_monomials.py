@@ -8,9 +8,11 @@ from homshift import (
     has_strong_exchange,
     is_polymatroidal,
     maximal_ideal,
+    rename_variables,
     squarefree_power_of_maximal,
     veronese_type,
 )
+from homshift.graphs import invert_permutation
 
 
 def mono(*exps):
@@ -173,3 +175,16 @@ def test_serialization_round_trip_is_exact():
 
 def test_maximal_ideal():
     assert maximal_ideal(2) == ideal(2, (1, 0), (0, 1))
+
+
+def test_rename_variables():
+    I = ideal(4, (2, 1, 0, 0), (0, 1, 1, 3), (1, 0, 0, 1))
+    assert rename_variables(I, (1, 2, 3, 4), 4) is I
+    moved = rename_variables(I, (3, 1, 4, 2), 4)
+    assert moved == ideal(4, (1, 0, 2, 0), (1, 3, 0, 1), (0, 1, 1, 0))
+    assert rename_variables(moved, invert_permutation((3, 1, 4, 2)), 4) == I
+    J = ideal(3, (1, 2, 0), (0, 1, 1))
+    assert rename_variables(J, (2, 4, 5), 5) == ideal(5, (0, 1, 0, 2, 0), (0, 0, 0, 1, 1))
+    for bad in ((2, 2, 5), (2, 4, 6), (2, 4)):
+        with pytest.raises(ValueError):
+            rename_variables(J, bad, 5)

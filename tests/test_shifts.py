@@ -31,8 +31,8 @@ from homshift import (
     k_ideal,
     maximal_ideal,
     pd_of_power,
-    permute_ideal,
     power_set_map,
+    rename_variables,
     spanning_paths_of_cycle,
     squarefree_power_of_maximal,
     tree_distance_labeling,
@@ -102,8 +102,8 @@ def test_hs_tree_formula_label_independent():
     shape2 = Graph(5, [(2, 3), (1, 3), (3, 4), (4, 5)])
     t2 = tree_distance_labeling(shape2, 5)
     for i, s in [(1, 1), (1, 2), (2, 2)]:
-        a = permute_ideal(hs_tree_formula(t1, i, s), invert_permutation(t1.relabeling))
-        b = permute_ideal(hs_tree_formula(t2, i, s), invert_permutation(t2.relabeling))
+        a = rename_variables(hs_tree_formula(t1, i, s), invert_permutation(t1.relabeling), 5)
+        b = rename_variables(hs_tree_formula(t2, i, s), invert_permutation(t2.relabeling), 5)
         assert a == b
 
 
@@ -289,8 +289,8 @@ def test_spanning_path_shift_sum_is_first_component():
             for s in (i, i + 1):
                 total = MonomialIdeal.zero(n)
                 for lt in spanning_paths_of_cycle(c):
-                    back = permute_ideal(
-                        hs_tree_formula(lt, i, s), invert_permutation(lt.relabeling)
+                    back = rename_variables(
+                        hs_tree_formula(lt, i, s), invert_permutation(lt.relabeling), n
                     )
                     total = total + back
                 alpha_i = Monomial.uniform(n, i)
