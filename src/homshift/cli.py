@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import corpus
-from .betti import betti_table, hs_oracle
+from .betti import betti_table
 from .edge_ideals import (
     comp_edge_ideal,
     comp_power_ideal,
@@ -25,11 +25,9 @@ from .errors import InputFormatError, OracleCapError, PreconditionError
 from .graphs import (
     Graph,
     graph_from_dict,
-    invert_permutation,
     is_connected,
     is_cycle_graph,
     is_tree,
-    lex_labeled_copy,
 )
 from .monomials import MonomialIdeal, VeroneseSpec, veronese_type
 from .shifts import caterpillar_realization, hs_closed_form, hs_power
@@ -142,21 +140,13 @@ def cmd_hs(args) -> int:
 def cmd_setmap(args) -> int:
     g = _load_graph(args.graph)
     _require_connected(g)
-    labeled, perm = lex_labeled_copy(g)
-    inv = invert_permutation(perm)
-    facts = power_generators(labeled, args.s)
-    sm = power_set_map(labeled, args.s)
+    facts = power_generators(g, args.s)
+    sm = power_set_map(g, args.s)
     for fact, su in zip(facts, sm.sets):
-        monomial = [0] * g.n
-        for v, e in enumerate(fact.monomial.exps, start=1):
-            monomial[inv[v - 1] - 1] = e
-        edges = sorted(
-            tuple(sorted((inv[a - 1], inv[b - 1]))) for a, b in fact.edges.as_edge_list()
-        )
         record = {
-            "monomial": monomial,
-            "edges": [list(e) for e in edges],
-            "set": sorted(inv[v - 1] for v in su),
+            "monomial": list(fact.monomial.exps),
+            "edges": [list(e) for e in fact.edges.as_edge_list()],
+            "set": sorted(su),
         }
         if args.format == "json":
             print(_dump(record))
@@ -167,6 +157,8 @@ def cmd_setmap(args) -> int:
 
 def cmd_oracle(args) -> int:
     _require_power(args.s)
+    if args.i is not None and args.i < 0:
+        raise PreconditionError("homological index must be at least 0")
     g = _load_graph(args.graph)
     if not g.edges:
         raise InputFormatError("graph has no edges")
@@ -175,10 +167,10 @@ def cmd_oracle(args) -> int:
     else:
         _require_connected(g)
         ideal = comp_power_ideal(g, args.s)
-    if args.i is not None:
-        _print_ideal(hs_oracle(ideal, args.i), args.format)
-        return EXIT_OK
     table = betti_table(ideal, gen_cap=args.gen_cap)
+    if args.i is not None:
+        _print_ideal(MonomialIdeal.from_exponents(g.n, table.degrees_at(args.i)), args.format)
+        return EXIT_OK
     doc = table.to_dict(ideal)
     if args.format == "json":
         print(_dump(doc))

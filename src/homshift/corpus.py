@@ -57,8 +57,9 @@ def distance_labeled_trees(n: int) -> tuple[LabeledTree, ...]:
     out = []
     for phi in product(*(range(j + 1, n) for j in range(1, n - 1))):
         g = Graph(n, [(j, p) for j, p in enumerate(phi, start=1)] + [(n - 1, n)])
-        if tree_distance_labeling(g, n).graph == g:
-            out.append(LabeledTree(g))
+        t, _ = tree_distance_labeling(g, n)
+        if t.graph == g:
+            out.append(t)
     return tuple(sorted(out, key=lambda t: t.graph.edges))
 
 
@@ -146,7 +147,7 @@ def check_hs_formulas(x: LabeledTree | CycleLabeling, i: int, s: int) -> dict:
 def check_maximal_identity(g: Graph, i: int) -> dict:
     """HS_i(I) + HS_{i-1}(mI) = m^[i] I for I = I_c(g), and HS_n(I) = 0.
 
-    Needs the Betti oracle for HS_{i-1}(mI); g must be suffix-connected.
+    Needs the Betti oracle for HS_{i-1}(mI).
     """
     result = check_hs_maximal_identity(comp_edge_ideal(g), i, set_map=power_set_map(g, 1))
     verdict = result.verdict and (i < g.n or result.hs_i.is_zero())

@@ -6,7 +6,10 @@ power is (x1*...*xn)^s divided by a product of s edges; the Factorization
 type keeps that edge multiset explicit.  When the vertex labels make every
 suffix {i+1, ..., n} induce a connected subgraph, all powers have linear
 quotients in descending lex order, and set(u) collects the variables
-generating each successive colon ideal.  Powers are enumerated once per
+generating each successive colon ideal.  Any connected graph is worked on
+in its own labels: the variable order is descending lex under the
+permutation of ``lex_labeled_copy(g)``, which is x1 > ... > xn when the
+labels are already suffix-connected.  Powers are enumerated once per
 edge multiset, keeping one Factorization per monomial.  Set maps come from
 a hash lookup of (u / x_k) * x_j among the earlier generators, and a
 vectorized numpy check then confirms that every colon is generated by
@@ -28,6 +31,7 @@ from .graphs import (
     Graph,
     LabeledTree,
     even_connected,
+    invert_permutation,
     is_bipartite,
     is_connected,
     is_cycle_graph,
@@ -103,19 +107,25 @@ def power_generator_expressions(
 def power_generators(g: Graph, s: int) -> tuple[Factorization, ...]:
     """One Factorization per distinct minimal generator of the s-th power.
 
-    Distinct multisets can collide on the same monomial (e.g. the two
-    alternating perfect matchings of an even cycle); the lexicographically
-    smallest edge multiset is kept as the canonical expression.  Since
-    ``g.edges`` is sorted, that is the first multiset the enumeration
-    reaches.  Output is in descending lex order of monomials.
+    Everything stays in g's labels; only the variable order comes from the
+    permutation perm of ``lex_labeled_copy(g)``: monomials are listed in
+    descending lex order of their images under perm, which is x1 > ... > xn
+    for suffix-connected labels.  Distinct multisets can collide on the
+    same monomial (e.g. the two alternating perfect matchings of an even
+    cycle); the multiset whose image under perm is lexicographically
+    smallest is kept as the canonical expression.  Enumerating the edges
+    sorted by their images makes that the first multiset reached.
     """
     _check_power_args(g, s)
+    _, perm = lex_labeled_copy(g)
+    edges = sorted(g.edges, key=lambda e: sorted(perm[v - 1] for v in e))
     first: dict[tuple[int, ...], tuple] = {}
-    for multiset in combinations_with_replacement(g.edges, s):
+    for multiset in combinations_with_replacement(edges, s):
         first.setdefault(_power_exponents(g, multiset), multiset)
+    order = invert_permutation(perm)
     return tuple(
         Factorization(s, EdgeMultiset.from_edges(first[exps]), Monomial(exps))
-        for exps in sorted(first, reverse=True)
+        for exps in sorted(first, key=lambda e: [e[v - 1] for v in order], reverse=True)
     )
 
 
@@ -256,7 +266,11 @@ def pd_linear_quotients(sm: SetMap) -> int:
 
 @lru_cache(maxsize=None)
 def power_set_map(g: Graph, s: int) -> SetMap:
-    """Set map of the s-th power in descending lex order; cached per (g, s)."""
+    """Set map of the s-th power in the order of ``power_generators``; cached per (g, s).
+
+    The order has linear quotients for every connected g, so the sets are
+    in g's own labels.
+    """
     facts = power_generators(g, s)
     return set_map_colon([f.monomial for f in facts])
 
@@ -271,9 +285,8 @@ def comp_power_ideal(g: Graph, s: int) -> MonomialIdeal:
 
 
 def pd_of_power(g: Graph, s: int) -> int:
-    """pd of the s-th power for any connected graph, relabeling if needed."""
-    labeled, _ = lex_labeled_copy(g)
-    return pd_linear_quotients(power_set_map(labeled, s))
+    """pd of the s-th power for any connected graph."""
+    return pd_linear_quotients(power_set_map(g, s))
 
 
 def pd_formula(g: Graph | LabeledTree | CycleLabeling, s: int) -> int:

@@ -210,13 +210,11 @@ class LabeledTree:
 
     Labels are non-increasing in distance to the root leaf n, so each
     vertex j < n has a unique neighbor phi(j) > j (its parent).
-    ``relabeling`` records the map original name -> label used to reach
-    this form; it is the identity for trees built directly.
     """
 
-    __slots__ = ("graph", "parent", "relabeling")
+    __slots__ = ("graph", "parent")
 
-    def __init__(self, graph: Graph, relabeling: tuple[int, ...] | None = None):
+    def __init__(self, graph: Graph):
         if not is_tree(graph):
             raise ValueError("LabeledTree requires a tree")
         n = graph.n
@@ -232,15 +230,8 @@ class LabeledTree:
         for j in range(1, n - 1):
             if dist[j] < dist[j + 1]:
                 raise ValueError("labels are not non-increasing in distance to the root")
-        if relabeling is None:
-            relabeling = tuple(range(1, n + 1))
-        else:
-            relabeling = tuple(int(v) for v in relabeling)
-            if sorted(relabeling) != list(range(1, n + 1)):
-                raise ValueError("relabeling is not a permutation of [n]")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "parent", tuple(parent))
-        object.__setattr__(self, "relabeling", relabeling)
 
     @property
     def n(self) -> int:
@@ -250,18 +241,11 @@ class LabeledTree:
         """The unique neighbor of j larger than j, for j in [n-1]."""
         return self.parent[j - 1]
 
-    def original_name(self, label: int) -> int:
-        return self.relabeling.index(label) + 1
-
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LabeledTree)
-            and self.graph == other.graph
-            and self.relabeling == other.relabeling
-        )
+        return isinstance(other, LabeledTree) and self.graph == other.graph
 
     def __hash__(self) -> int:
-        return hash((self.graph, self.relabeling))
+        return hash(self.graph)
 
     def __repr__(self) -> str:
         return f"LabeledTree({self.graph!r})"
@@ -317,12 +301,13 @@ def _distances_from(g: Graph, root: int) -> dict[int, int]:
     return dist
 
 
-def tree_distance_labeling(t: Graph, root_leaf: int) -> LabeledTree:
+def tree_distance_labeling(t: Graph, root_leaf: int) -> tuple[LabeledTree, tuple[int, ...]]:
     """Relabel a tree so root_leaf becomes n and labels decrease outward.
 
     Vertices are ordered by decreasing distance to the root leaf, ties
     broken by breadth-first discovery order (which itself visits smaller
     original names first), giving one deterministic admissible labeling.
+    Returns (tree, perm) with perm[old-1] = new, as cycle_labeling_of does.
     """
     if not is_tree(t):
         raise PreconditionError("distance labeling requires a tree")
@@ -330,8 +315,8 @@ def tree_distance_labeling(t: Graph, root_leaf: int) -> LabeledTree:
         raise PreconditionError(f"vertex {root_leaf} is not a leaf")
     dist = _distances_from(t, root_leaf)  # keys in breadth-first discovery order
     order = sorted(dist, key=lambda v: -dist[v])
-    relabeling = invert_permutation(order)
-    return LabeledTree(relabel_graph(t, relabeling), relabeling)
+    perm = invert_permutation(order)
+    return LabeledTree(relabel_graph(t, perm)), perm
 
 
 def even_connection_walk(
@@ -408,11 +393,12 @@ def caterpillar_from_profile(a: Iterable[int]) -> LabeledTree:
     return LabeledTree(Graph(n_vertices, edges))
 
 
-def spanning_paths_of_cycle(c: CycleLabeling) -> list[LabeledTree]:
+def spanning_paths_of_cycle(c: CycleLabeling) -> list[tuple[LabeledTree, tuple[int, ...]]]:
     """The n spanning paths of a cycle, path j omitting edge j-1.
 
-    Each path keeps the original vertex names and is wrapped with a
-    distance labeling so tree-form computations apply directly.
+    Each path is given its distance labeling so tree-form computations
+    apply directly; it comes as (tree, perm) from tree_distance_labeling,
+    with perm[cycle vertex - 1] = tree label.
     """
     out = []
     for j in range(1, c.n + 1):
@@ -477,8 +463,7 @@ def lex_labeled_copy(g: Graph) -> tuple[Graph, tuple[int, ...]]:
         return g, identity
     tree = spanning_tree(g)
     leaves = [v for v in tree.vertices() if tree.degree(v) == 1]
-    labeled = tree_distance_labeling(tree, max(leaves))
-    perm = labeled.relabeling
+    _, perm = tree_distance_labeling(tree, max(leaves))
     return relabel_graph(g, perm), perm
 
 
@@ -498,12 +483,15 @@ def graph_from_dict(data: dict) -> tuple[Graph, str | None]:
     if not isinstance(data, dict):
         raise InputFormatError("graph document must be a JSON object")
     try:
-        n = int(data["n"])
+        n = data["n"]
         edges = [tuple(e) for e in data["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputFormatError(f"bad graph document: {exc}") from exc
     if any(len(e) != 2 for e in edges):
         raise InputFormatError("edges must be pairs of vertices")
+    # int() would read 1.7 as 1 and true or "1" as vertex 1; bool is an int subclass.
+    if any(type(x) is not int for x in (n, *(v for e in edges for v in e))):
+        raise InputFormatError("n and every edge endpoint must be JSON integers")
     try:
         g = Graph(n, edges)
     except ValueError as exc:

@@ -39,7 +39,6 @@ from .graphs import (
     is_connected,
     is_cycle_graph,
     is_tree,
-    lex_labeled_copy,
     tree_distance_labeling,
 )
 from .monomials import (
@@ -78,8 +77,8 @@ def hs_linear_quotients(sm: SetMap, i: int) -> MonomialIdeal:
 def hs_power(g: Graph, i: int, s: int) -> MonomialIdeal:
     """HS_i of the s-th power of the complementary edge ideal of g.
 
-    Computed via linear quotients after relabeling g if its own labels are
-    not suffix-connected; the result is expressed in g's original labels.
+    Computed via linear quotients in g's own labels, in the generator
+    order of ``power_generators``.
     """
     if not is_connected(g):
         raise PreconditionError("homological shifts require a connected graph")
@@ -87,9 +86,7 @@ def hs_power(g: Graph, i: int, s: int) -> MonomialIdeal:
         return MonomialIdeal.zero(g.n)
     if s == 0:
         return MonomialIdeal.unit(g.n) if i == 0 else MonomialIdeal.zero(g.n)
-    labeled, perm = lex_labeled_copy(g)
-    hs = hs_linear_quotients(power_set_map(labeled, s), i)
-    return rename_variables(hs, invert_permutation(perm), g.n)
+    return hs_linear_quotients(power_set_map(g, s), i)
 
 
 def hs1_via_lcm(ideal: MonomialIdeal) -> MonomialIdeal:
@@ -353,8 +350,8 @@ def hs_closed_form(g: Graph, i: int, s: int) -> MonomialIdeal | None:
         if not 1 <= i <= s:
             return None
         leaves = [v for v in g.vertices() if g.degree(v) == 1]
-        t = tree_distance_labeling(g, max(leaves))
-        hs, perm = hs_tree_formula(t, i, s), t.relabeling
+        t, perm = tree_distance_labeling(g, max(leaves))
+        hs = hs_tree_formula(t, i, s)
     elif is_cycle_graph(g):
         if not (1 <= i < g.n and s >= i // 2):
             return None

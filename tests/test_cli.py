@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from homshift import MonomialIdeal, corpus
+from homshift import CycleLabeling, MonomialIdeal, corpus, graph_to_dict, hs_power
 from homshift.cli import main
+from homshift.graphs import relabel_graph
 
 
 def write_graph(tmp_path, name, doc):
@@ -63,6 +64,14 @@ def test_input_error_exit_codes(capsys, tmp_path):
     )
     code, _, _ = run(capsys, "ideal", "--graph", lying)
     assert code == 2
+    for doc in (
+        {"n": 3, "edges": [[1.7, 2], [2, 3]]},
+        {"n": 3.9, "edges": [[1, 2], [2, 3]]},
+        {"n": 3, "edges": [[True, 2], [2, 3]]},
+        {"n": 3, "edges": [["1", 2], [2, 3]]},
+    ):
+        code, out, err = run(capsys, "ideal", "--graph", write_graph(tmp_path, "g.json", doc))
+        assert code == 2 and out == "" and "input error" in err
 
 
 def test_precondition_exit_codes(capsys, tmp_path, p4):
@@ -116,6 +125,16 @@ def test_setmap_command(capsys, c4):
     assert all(set(r) == {"monomial", "edges", "set"} for r in records)
 
 
+def test_setmap_command_keeps_input_labels(capsys, tmp_path):
+    # These labels are not suffix-connected: {3, 4, 5, 6} leaves vertex 4 isolated.
+    c6 = relabel_graph(CycleLabeling(6).graph, (3, 6, 1, 4, 2, 5))
+    path = write_graph(tmp_path, "c6.json", graph_to_dict(c6))
+    code, out, _ = run(capsys, "setmap", "--graph", path, "--s", "2", "--format", "json")
+    assert code == 0 and len(out.splitlines()) == 21
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "1efcca36ab3e09baaad4ade9881f7e356763e149a0d8abe02ab02a4e158581a1"
+
+
 def test_oracle_command(capsys, p4):
     code, out, _ = run(capsys, "oracle", "--graph", p4, "--i", "1", "--format", "json")
     assert code == 0
@@ -123,6 +142,22 @@ def test_oracle_command(capsys, p4):
     code, out, _ = run(capsys, "oracle", "--graph", p4, "--format", "json")
     doc = json.loads(out)
     assert doc["entries"] and all(r["beta"] > 0 for r in doc["entries"])
+
+
+def test_oracle_shift_ideal_honours_gen_cap(capsys, tmp_path, p4):
+    c5 = write_graph(tmp_path, "c5.json", graph_to_dict(CycleLabeling(5).graph))
+    code, out, err = run(capsys, "oracle", "--graph", c5, "--s", "2", "--gen-cap", "3", "--i", "1")
+    assert code == 3 and out == "" and "cap of 3" in err
+    c7 = CycleLabeling(7).graph
+    path = write_graph(tmp_path, "c7.json", graph_to_dict(c7))
+    argv = ("oracle", "--graph", path, "--s", "3", "--i", "1", "--format", "json")
+    code, out, _ = run(capsys, *argv, "--gen-cap", "100")
+    assert code == 0
+    assert MonomialIdeal.from_dict(json.loads(out)) == hs_power(c7, 1, 3)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and "cap of 60" in err
+    code, out, err = run(capsys, "oracle", "--graph", p4, "--i", "-1")
+    assert code == 3 and out == "" and "precondition" in err
 
 
 def test_caterpillar_command(capsys):

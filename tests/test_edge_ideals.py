@@ -108,7 +108,8 @@ def test_factorization_invariants():
 
 
 def test_lex_order_examples():
-    # power_generators lists monomials in descending lex order, x1 > ... > xn.
+    # power_generators lists monomials in descending lex order; for these
+    # suffix-connected labels the variable order is x1 > ... > xn.
     exps = [f.monomial.exps for f in power_generators(path(4), 1)]
     assert exps == [(1, 1, 0, 0), (1, 0, 0, 1), (0, 0, 1, 1)]
     c4 = CycleLabeling(4).graph
@@ -173,7 +174,7 @@ def test_set_via_even_connected_examples():
 
 
 def test_set_tree_examples():
-    t = tree_distance_labeling(path(4), 4)
+    t, _ = tree_distance_labeling(path(4), 4)
     f = Factorization.build(t.graph, EdgeMultiset.from_edges([(1, 2), (2, 3)]))
     assert set_tree(t, f) == {1, 2}
     f = Factorization.build(t.graph, EdgeMultiset.from_edges([(3, 4), (3, 4)]))

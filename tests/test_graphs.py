@@ -22,6 +22,7 @@ from homshift import (
     validate_lex_labeling,
 )
 from homshift.corpus import distance_labeled_trees
+from homshift.graphs import invert_permutation
 
 
 def path(n):
@@ -63,22 +64,22 @@ def test_validate_lex_labeling_examples():
 
 
 def test_tree_distance_labeling_path():
-    t = tree_distance_labeling(path(3), 3)
-    assert t.relabeling == (1, 2, 3)
+    t, perm = tree_distance_labeling(path(3), 3)
+    assert perm == (1, 2, 3)
     assert t.parent == (2, 3)
 
 
 def test_tree_distance_labeling_star():
     star = Graph(4, [(3, 1), (3, 2), (3, 4)])
-    t = tree_distance_labeling(star, 1)
+    t, _ = tree_distance_labeling(star, 1)
     # Leaves take {1, 2}, the center 3, the root 4.
     assert t.graph.edges == ((1, 3), (2, 3), (3, 4))
     assert t.parent == (3, 3, 4)
 
 
 def test_tree_distance_labeling_single_edge():
-    t = tree_distance_labeling(Graph(2, [(1, 2)]), 2)
-    assert t.relabeling == (1, 2)
+    t, perm = tree_distance_labeling(Graph(2, [(1, 2)]), 2)
+    assert perm == (1, 2)
     assert t.parent == (2,)
 
 
@@ -106,7 +107,7 @@ def test_distance_labeled_trees_match_all_labeled_trees(n):
     for seq in product(range(n), repeat=n - 2):
         tree = Graph(n, [(a + 1, b + 1) for a, b in from_prufer_sequence(list(seq)).edges()])
         leaves = [v for v in tree.vertices() if tree.degree(v) == 1]
-        labeled.add(tree_distance_labeling(tree, max(leaves)).graph)
+        labeled.add(tree_distance_labeling(tree, max(leaves))[0].graph)
     assert labeled == {t.graph for t in distance_labeled_trees(n)}
 
 
@@ -247,13 +248,14 @@ def test_spanning_paths_of_cycle():
     c3 = CycleLabeling(3)
     paths = spanning_paths_of_cycle(c3)
     assert len(paths) == 3
-    assert all(p.n == 3 for p in paths)
+    assert all(t.n == 3 for t, _ in paths)
     c4 = CycleLabeling(4)
     paths = spanning_paths_of_cycle(c4)
     # path 1 omits edge {4, 1}
+    tree, perm = paths[0]
+    original = invert_permutation(perm)
     original_edges = {
-        tuple(sorted((paths[0].original_name(a), paths[0].original_name(b))))
-        for a, b in paths[0].graph.edges
+        tuple(sorted((original[a - 1], original[b - 1]))) for a, b in tree.graph.edges
     }
     assert original_edges == {(1, 2), (2, 3), (3, 4)}
     assert len(spanning_paths_of_cycle(CycleLabeling(6))) == 6

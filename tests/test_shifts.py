@@ -31,6 +31,7 @@ from homshift import (
     k_ideal,
     maximal_ideal,
     pd_of_power,
+    power_generators,
     power_set_map,
     rename_variables,
     spanning_paths_of_cycle,
@@ -40,7 +41,7 @@ from homshift import (
     veronese_type,
 )
 from homshift.corpus import connected_graphs, distance_labeled_trees
-from homshift.graphs import invert_permutation
+from homshift.graphs import invert_permutation, relabel_graph, validate_lex_labeling
 
 
 def path(n):
@@ -83,7 +84,7 @@ def test_hs1_power_identity_examples():
 
 
 def test_hs_tree_formula_examples():
-    t = tree_distance_labeling(path(4), 4)
+    t, _ = tree_distance_labeling(path(4), 4)
     assert hs_tree_formula(t, 1, 1) == ideal(4, (1, 1, 0, 1), (1, 0, 1, 1))
     assert hs_tree_formula(t, 2, 2) == ideal(4, (2, 1, 1, 2))
     expanded = hs_tree_formula(t, 1, 2)
@@ -98,20 +99,20 @@ def test_hs_tree_formula_examples():
 def test_hs_tree_formula_label_independent():
     # Two different admissible labelings of the 5-vertex star-with-tail shape.
     shape = Graph(5, [(1, 3), (2, 3), (3, 4), (4, 5)])
-    t1 = tree_distance_labeling(shape, 5)
+    t1, perm1 = tree_distance_labeling(shape, 5)
     shape2 = Graph(5, [(2, 3), (1, 3), (3, 4), (4, 5)])
-    t2 = tree_distance_labeling(shape2, 5)
+    t2, perm2 = tree_distance_labeling(shape2, 5)
     for i, s in [(1, 1), (1, 2), (2, 2)]:
-        a = rename_variables(hs_tree_formula(t1, i, s), invert_permutation(t1.relabeling), 5)
-        b = rename_variables(hs_tree_formula(t2, i, s), invert_permutation(t2.relabeling), 5)
+        a = rename_variables(hs_tree_formula(t1, i, s), invert_permutation(perm1), 5)
+        b = rename_variables(hs_tree_formula(t2, i, s), invert_permutation(perm2), 5)
         assert a == b
 
 
 def test_j_and_k_ideal_examples():
-    t = tree_distance_labeling(path(4), 4)
+    t, _ = tree_distance_labeling(path(4), 4)
     assert j_ideal(t, 1) == ideal(4, (1, 0, 1, 1), (1, 1, 0, 1))
     assert k_ideal(t, 1) == ideal(4, (0, 1, 0, 0), (0, 0, 1, 0))
-    star = tree_distance_labeling(Graph(4, [(3, 1), (3, 2), (3, 4)]), 1)
+    star, _ = tree_distance_labeling(Graph(4, [(3, 1), (3, 2), (3, 4)]), 1)
     assert k_ideal(star, 1) == ideal(4, (0, 0, 1, 0))
     assert j_ideal(star, 1) == ideal(4, (1, 1, 0, 1))
     assert j_ideal(t, 0) == MonomialIdeal.unit(4)
@@ -185,10 +186,10 @@ def test_maximal_identity_examples():
 
 
 def test_veronese_structure_examples():
-    t = tree_distance_labeling(path(4), 4)
+    t, _ = tree_distance_labeling(path(4), 4)
     assert veronese_structure_check(t, 1)
     assert k_ideal(t, 1) == veronese_type(VeroneseSpec((0, 1, 1, 0), 1))
-    star5 = tree_distance_labeling(Graph(5, [(4, 1), (4, 2), (4, 3), (4, 5)]), 1)
+    star5, _ = tree_distance_labeling(Graph(5, [(4, 1), (4, 2), (4, 3), (4, 5)]), 1)
     assert k_ideal(star5, 1) == ideal(5, (0, 0, 0, 1, 0))
     assert veronese_structure_check(star5, 1)
     for n in range(3, 7):
@@ -279,6 +280,32 @@ def test_hs_power_on_relabeled_graph_matches_oracle():
         assert hs_power(weird, i, 1) == hs_oracle(I, i)
 
 
+def test_hs_power_commutes_with_relabeling():
+    # One fixed relabeling per n; 23 of the 30 images are not suffix-connected.
+    perms = {2: (2, 1), 3: (2, 1, 3), 4: (3, 1, 4, 2), 5: (4, 2, 5, 1, 3)}
+    unadmissible = 0
+    for n, perm in perms.items():
+        for g in connected_graphs(n):
+            shuffled = relabel_graph(g, perm)
+            unadmissible += not validate_lex_labeling(shuffled)
+            for s in (1, 2):
+                assert pd_of_power(shuffled, s) == pd_of_power(g, s)
+                for i in range(n + 1):
+                    assert hs_power(shuffled, i, s) == rename_variables(hs_power(g, i, s), perm, n)
+    assert unadmissible == 23
+
+
+def test_power_enumerated_once_in_input_labels():
+    c6 = relabel_graph(CycleLabeling(6).graph, (3, 6, 1, 4, 2, 5))
+    assert not validate_lex_labeling(c6)
+    for cached in (power_generators, power_set_map, hs_power):
+        cached.cache_clear()
+    pd_of_power(c6, 2)
+    hs_power(c6, 1, 2)
+    comp_power_ideal(c6, 2)
+    assert power_generators.cache_info().misses == 1
+
+
 def test_spanning_path_shift_sum_is_first_component():
     # sum over spanning paths of HS_i equals the k = 0 slice of the cycle form
     for n in (4, 5):
@@ -288,9 +315,9 @@ def test_spanning_path_shift_sum_is_first_component():
                 continue
             for s in (i, i + 1):
                 total = MonomialIdeal.zero(n)
-                for lt in spanning_paths_of_cycle(c):
+                for lt, perm in spanning_paths_of_cycle(c):
                     back = rename_variables(
-                        hs_tree_formula(lt, i, s), invert_permutation(lt.relabeling), n
+                        hs_tree_formula(lt, i, s), invert_permutation(perm), n
                     )
                     total = total + back
                 alpha_i = Monomial.uniform(n, i)
