@@ -138,21 +138,24 @@ def _boundary_matrix(lower: list[tuple[int, ...]], upper: list[tuple[int, ...]])
     return mat
 
 
-def reduced_homology_rank(c: SimplicialComplex, i: int, field: int = 0) -> int:
-    """Dimension of the i-th reduced homology (field = 0 means rationals)."""
-    if c.is_void():
-        return 0
+def _reduced_homology(c: SimplicialComplex, field: int = 0) -> dict[int, int]:
+    """Every nonzero reduced homology rank of c, keyed by dimension.
+
+    One ``faces_by_dim`` call; each boundary map is ranked once
+    (field = 0 means rationals).
+    """
     faces = c.faces_by_dim()
     rank_fn = integer_rank if field == 0 else (lambda m: rank_mod_p(m, field))
+    ranks = {
+        d: rank_fn(_boundary_matrix(faces[d - 1], faces[d])) for d in faces if d - 1 in faces
+    }
+    homology = {d: len(faces[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0) for d in faces}
+    return {d: h for d, h in homology.items() if h}
 
-    def boundary_rank(d: int) -> int:
-        if d not in faces or (d - 1) not in faces:
-            return 0
-        return rank_fn(_boundary_matrix(faces[d - 1], faces[d]))
 
-    if i < -1 or i not in faces:
-        return 0
-    return len(faces[i]) - boundary_rank(i) - boundary_rank(i + 1)
+def reduced_homology_rank(c: SimplicialComplex, i: int, field: int = 0) -> int:
+    """Dimension of the i-th reduced homology (field = 0 means rationals)."""
+    return _reduced_homology(c, field).get(i, 0)
 
 
 def upper_koszul(ideal: MonomialIdeal, a: Monomial) -> SimplicialComplex:
@@ -169,13 +172,6 @@ def upper_koszul(ideal: MonomialIdeal, a: Monomial) -> SimplicialComplex:
         blocked = {p for p in ground if u.exps[p - 1] == a.exps[p - 1]}
         facets.append(frozenset(set(ground) - blocked))
     return SimplicialComplex(ground, facets)
-
-
-def betti(ideal: MonomialIdeal, i: int, a: Monomial, field: int = 0) -> int:
-    """The multigraded Betti number beta_{i,a} of the ideal."""
-    if i < 0:
-        return 0
-    return reduced_homology_rank(upper_koszul(ideal, a), i - 1, field)
 
 
 def lcm_lattice(
@@ -220,9 +216,6 @@ class BettiTable:
     def degrees_at(self, i: int) -> list[tuple[int, ...]]:
         return sorted(a for j, a in self.entries if j == i)
 
-    def total(self, i: int) -> int:
-        return sum(b for (j, _), b in self.entries.items() if j == i)
-
     def to_dict(self, ideal: MonomialIdeal) -> dict:
         rows = [
             {"i": i, "deg": list(a), "beta": b}
@@ -247,20 +240,8 @@ def betti_table(
         return cached
     entries: dict = {}
     for a in lcm_lattice(ideal, gen_cap, size_cap):
-        complex_ = upper_koszul(ideal, a)
-        faces = complex_.faces_by_dim()
-        if not faces:
-            continue
-        rank_fn = integer_rank if field == 0 else (lambda m: rank_mod_p(m, field))
-        ranks = {}
-        dims = sorted(faces)
-        for d in dims:
-            if d - 1 in faces:
-                ranks[d] = rank_fn(_boundary_matrix(faces[d - 1], faces[d]))
-        for d in dims:
-            h = len(faces[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
-            if h > 0:
-                entries[(d + 1, a.exps)] = h
+        for d, h in _reduced_homology(upper_koszul(ideal, a), field).items():
+            entries[(d + 1, a.exps)] = h
     table = BettiTable(ideal.n, entries)
     _TABLE_CACHE[key] = table
     return table

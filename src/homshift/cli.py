@@ -51,6 +51,8 @@ def _load_graph(path: str) -> Graph:
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
     graph, _ = graph_from_dict(data)
+    if not graph.edges:
+        raise InputFormatError("graph has no edges; the complementary edge ideal is undefined")
     return graph
 
 
@@ -81,8 +83,6 @@ def _print_ideal(ideal: MonomialIdeal, fmt: str) -> None:
 def cmd_ideal(args) -> int:
     _require_power(args.s)
     g = _load_graph(args.graph)
-    if not g.edges:
-        raise InputFormatError("graph has no edges; the complementary edge ideal is undefined")
     if args.s == 1:
         ideal = comp_edge_ideal(g)
     else:
@@ -145,7 +145,7 @@ def cmd_setmap(args) -> int:
     for fact, su in zip(facts, sm.sets):
         record = {
             "monomial": list(fact.monomial.exps),
-            "edges": [list(e) for e in fact.edges.as_edge_list()],
+            "edges": [list(e) for e in fact.edges],
             "set": sorted(su),
         }
         if args.format == "json":
@@ -160,8 +160,6 @@ def cmd_oracle(args) -> int:
     if args.i is not None and args.i < 0:
         raise PreconditionError("homological index must be at least 0")
     g = _load_graph(args.graph)
-    if not g.edges:
-        raise InputFormatError("graph has no edges")
     if args.s == 1:
         ideal = comp_edge_ideal(g)
     else:

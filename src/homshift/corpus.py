@@ -126,7 +126,7 @@ def check_set_maps(x: LabeledTree | CycleLabeling, s: int) -> dict:
     kind, closed = ("tree", set_tree) if isinstance(x, LabeledTree) else ("cycle", set_cycle)
     facts = power_generators(x.graph, s)
     ok = all(
-        su == set_via_even_connected(x.graph, f) == closed(x, f)
+        su == set_via_even_connected(x.graph, f.edges) == closed(x, f.edges)
         for f, su in zip(facts, power_set_map(x.graph, s).sets)
     )
     return _record(f"set-maps/{kind}", x, {"s": s}, ok, len(facts), len(facts))

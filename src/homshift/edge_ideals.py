@@ -2,8 +2,8 @@
 
 The complementary edge ideal of a graph on [n] is generated by
 x1*...*xn / (xj*xk) over the edges {j, k}.  Every generator of its s-th
-power is (x1*...*xn)^s divided by a product of s edges; the Factorization
-type keeps that edge multiset explicit.  When the vertex labels make every
+power is (x1*...*xn)^s divided by a product of s edges; a Factorization
+pairs the monomial with one such edge list.  When the vertex labels make every
 suffix {i+1, ..., n} induce a connected subgraph, all powers have linear
 quotients in descending lex order, and set(u) collects the variables
 generating each successive colon ideal.  Any connected graph is worked on
@@ -27,24 +27,17 @@ import numpy as np
 from .errors import NotLinearQuotientsError, PreconditionError
 from .graphs import (
     CycleLabeling,
-    EdgeMultiset,
+    Edge,
     Graph,
     LabeledTree,
     even_connected,
     invert_permutation,
-    is_bipartite,
     is_connected,
     is_cycle_graph,
     is_tree,
     lex_labeled_copy,
 )
 from .monomials import Monomial, MonomialIdeal
-
-
-def edge_ideal(g: Graph) -> MonomialIdeal:
-    """The ideal generated by xi*xj over the edges of g."""
-    gens = (Monomial.from_support(g.n, e) for e in g.edges)
-    return MonomialIdeal(g.n, tuple(gens))
 
 
 def comp_edge_ideal(g: Graph) -> MonomialIdeal:
@@ -68,39 +61,22 @@ def _power_exponents(g: Graph, multiset: tuple) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Factorization:
-    """A power generator written as alpha^s divided by a multiset of s edges."""
+    """A power generator: alpha^s divided by the product of the s edges in ``edges``.
 
-    power: int
-    edges: EdgeMultiset
+    ``edges`` lists edges of the graph in sorted order, repeats included.
+    """
+
     monomial: Monomial
-
-    @classmethod
-    def build(cls, g: Graph, edges: EdgeMultiset) -> "Factorization":
-        edges.validate_hosted(g)
-        return cls(edges.total, edges, Monomial(_power_exponents(g, edges.as_edge_list())))
+    edges: tuple[Edge, ...]
 
 
 def _check_power_args(g: Graph, s: int) -> None:
     if s < 1:
         raise PreconditionError("power must be at least 1")
+    if not g.edges:
+        raise PreconditionError("power generators need at least one edge")
     if not is_connected(g):
         raise PreconditionError("power generators require a connected graph")
-
-
-def power_generator_expressions(
-    g: Graph, s: int
-) -> dict[Monomial, list[EdgeMultiset]]:
-    """All edge multisets of size s grouped by the power generator they produce."""
-    _check_power_args(g, s)
-    groups: dict[tuple[int, ...], list[tuple]] = {}
-    for multiset in combinations_with_replacement(g.edges, s):
-        groups.setdefault(_power_exponents(g, multiset), []).append(multiset)
-    out: dict[Monomial, list[EdgeMultiset]] = {}
-    for exps in sorted(groups, reverse=True):
-        out[Monomial(exps)] = [
-            EdgeMultiset.from_edges(ms) for ms in sorted(groups[exps])
-        ]
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +100,7 @@ def power_generators(g: Graph, s: int) -> tuple[Factorization, ...]:
         first.setdefault(_power_exponents(g, multiset), multiset)
     order = invert_permutation(perm)
     return tuple(
-        Factorization(s, EdgeMultiset.from_edges(first[exps]), Monomial(exps))
+        Factorization(Monomial(exps), tuple(sorted(first[exps])))
         for exps in sorted(first, key=lambda e: [e[v - 1] for v in order], reverse=True)
     )
 
@@ -190,42 +166,38 @@ def set_map_colon(ordered) -> SetMap:
     return SetMap(gens, tuple(sets))
 
 
-def set_via_even_connected(g: Graph, f: Factorization) -> frozenset[int]:
+def set_via_even_connected(g: Graph, edges: tuple[Edge, ...]) -> frozenset[int]:
     """set(u) computed combinatorially from adjacency and even-connected walks.
 
-    A vertex i qualifies when some multiset edge {i, j} admits a k > i
-    with {j, k} an edge of g or j even-connected to k with respect to the
-    remaining multiset.
+    For u = alpha^s / (product of ``edges``), a vertex i qualifies when some
+    edge {i, j} of the list admits a k > i with {j, k} an edge of g or j
+    even-connected to k with respect to the remaining edges.
     """
+    support = set(edges)
     result = set()
-    for i in sorted({v for e in f.edges.support() for v in e}):
-        found = False
-        for e in f.edges.support():
+    for i in sorted({v for e in support for v in e}):
+        for e in support:
             if i not in e:
                 continue
             j = e[0] if e[1] == i else e[1]
-            rest = f.edges.remove_one(e)
-            if any(k > i for k in g.neighbors(j)):
-                found = True
-            else:
-                found = any(
-                    even_connected(g, j, k, rest) for k in range(i + 1, g.n + 1)
-                )
-            if found:
+            at = edges.index(e)
+            rest = edges[:at] + edges[at + 1 :]
+            if any(k > i for k in g.neighbors(j)) or any(
+                even_connected(g, j, k, rest) for k in range(i + 1, g.n + 1)
+            ):
+                result.add(i)
                 break
-        if found:
-            result.add(i)
     return frozenset(result)
 
 
-def set_tree(t: LabeledTree, f: Factorization) -> frozenset[int]:
+def set_tree(t: LabeledTree, edges: tuple[Edge, ...]) -> frozenset[int]:
     """set(u) for a tree power generator: edge minima, excluding n - 1."""
-    mins = {min(e) for e in f.edges.support()}
+    mins = {min(e) for e in edges}
     mins.discard(t.n - 1)
     return frozenset(mins)
 
 
-def set_cycle(c: CycleLabeling, f: Factorization) -> frozenset[int]:
+def set_cycle(c: CycleLabeling, edges: tuple[Edge, ...]) -> frozenset[int]:
     """set(u) for a cycle power generator from the two alternating edge chains.
 
     The first chain e1, e3, ..., e_{2l-1} contributes [2l] for the largest
@@ -235,7 +207,7 @@ def set_cycle(c: CycleLabeling, f: Factorization) -> frozenset[int]:
     """
     n = c.n
     m = n // 2
-    support = set(f.edges.support())
+    support = set(edges)
 
     def chain_component(start: int, n_edges, max_l: int, size) -> set[int]:
         best = 0
@@ -305,19 +277,3 @@ def pd_formula(g: Graph | LabeledTree | CycleLabeling, s: int) -> int:
             return min(2 * s, 2 * m - 2)
         return min(2 * s, 2 * m)
     raise PreconditionError("closed-form pd is only available for trees and cycles")
-
-
-def dstab_scan(g: Graph, s_max: int) -> tuple[int | None, tuple[int, ...]]:
-    """pd of the first s_max powers and the first power reaching the ceiling.
-
-    The ceiling is n - 2 for connected bipartite graphs and n - 1
-    otherwise; returns (None, sequence) when the scan never reaches it.
-    """
-    if not is_connected(g):
-        raise PreconditionError("dstab scan requires a connected graph")
-    ceiling = g.n - 2 if is_bipartite(g) else g.n - 1
-    pds = tuple(pd_of_power(g, s) for s in range(1, s_max + 1))
-    for s, value in enumerate(pds, start=1):
-        if value == ceiling:
-            return s, pds
-    return None, pds

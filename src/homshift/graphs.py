@@ -13,8 +13,8 @@ in colon ideals of edge-ideal powers.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, Mapping
+from collections import Counter, deque
+from typing import Iterable
 
 from .errors import InputFormatError, PreconditionError
 
@@ -143,68 +143,6 @@ def validate_lex_labeling(g: Graph) -> bool:
     return True
 
 
-class EdgeMultiset:
-    """A multiset of edges of some graph, with explicit multiplicities."""
-
-    __slots__ = ("counts", "total")
-
-    def __init__(self, counts: Mapping[Edge, int]):
-        cleaned: dict[Edge, int] = {}
-        for e, c in counts.items():
-            c = int(c)
-            if c < 0:
-                raise ValueError(f"negative multiplicity for edge {e}")
-            if c > 0:
-                cleaned[_normalize_edge(e)] = c
-        object.__setattr__(self, "counts", dict(sorted(cleaned.items())))
-        object.__setattr__(self, "total", sum(cleaned.values()))
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[Edge]) -> "EdgeMultiset":
-        counts: dict[Edge, int] = {}
-        for e in edges:
-            e = _normalize_edge(e)
-            counts[e] = counts.get(e, 0) + 1
-        return cls(counts)
-
-    def validate_hosted(self, g: Graph) -> None:
-        for e in self.counts:
-            if not g.has_edge(*e):
-                raise ValueError(f"edge {e} is not an edge of the host graph")
-
-    def support(self) -> tuple[Edge, ...]:
-        return tuple(self.counts)
-
-    def items(self):
-        return self.counts.items()
-
-    def as_edge_list(self) -> tuple[Edge, ...]:
-        out = []
-        for e, c in self.counts.items():
-            out.extend([e] * c)
-        return tuple(out)
-
-    def remove_one(self, e: Edge) -> "EdgeMultiset":
-        e = _normalize_edge(e)
-        if self.counts.get(e, 0) < 1:
-            raise ValueError(f"edge {e} not present")
-        counts = dict(self.counts)
-        counts[e] -= 1
-        return EdgeMultiset(counts)
-
-    def signature(self) -> tuple:
-        return tuple(self.counts.items())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EdgeMultiset) and self.counts == other.counts
-
-    def __hash__(self) -> int:
-        return hash(self.signature())
-
-    def __repr__(self) -> str:
-        return f"EdgeMultiset({self.counts})"
-
-
 class LabeledTree:
     """A tree whose labels already satisfy the distance discipline.
 
@@ -320,16 +258,19 @@ def tree_distance_labeling(t: Graph, root_leaf: int) -> tuple[LabeledTree, tuple
 
 
 def even_connection_walk(
-    g: Graph, j: int, k: int, es: EdgeMultiset
+    g: Graph, j: int, k: int, edges: tuple[Edge, ...]
 ) -> list[int] | None:
-    """A witness walk even-connecting j to k with respect to es, or None.
+    """A witness walk even-connecting j to k with respect to an edge multiset, or None.
 
-    The returned walk alternates free graph edges with multiset edges and
-    uses at least one multiset edge, so it always has even vertex count
-    >= 4 and odd length.
+    ``edges`` lists the multiset's edges with repeats; each must be an edge
+    of g (ValueError otherwise).  The returned walk alternates free graph
+    edges with multiset edges and uses at least one multiset edge, so it
+    always has even vertex count >= 4 and odd length.
     """
-    es.validate_hosted(g)
-    if es.total == 0:
+    for e in edges:
+        if not g.has_edge(*e):
+            raise ValueError(f"edge {e} is not an edge of the host graph")
+    if not edges:
         return None
     failed: set[tuple] = set()
 
@@ -354,7 +295,7 @@ def even_connection_walk(
         failed.add(key)
         return None
 
-    counts0 = es.signature()
+    counts0 = tuple(sorted(Counter(edges).items()))
     for w in g.neighbors(j):
         tail = search(w, counts0, False)
         if tail is not None:
@@ -362,9 +303,9 @@ def even_connection_walk(
     return None
 
 
-def even_connected(g: Graph, j: int, k: int, es: EdgeMultiset) -> bool:
-    """Whether j and k are even-connected with respect to the edge multiset."""
-    return even_connection_walk(g, j, k, es) is not None
+def even_connected(g: Graph, j: int, k: int, edges: tuple[Edge, ...]) -> bool:
+    """Whether j and k are even-connected with respect to the edge multiset ``edges``."""
+    return even_connection_walk(g, j, k, edges) is not None
 
 
 def caterpillar_from_profile(a: Iterable[int]) -> LabeledTree:

@@ -333,15 +333,12 @@ def veronese_type(spec: VeroneseSpec) -> MonomialIdeal:
     return MonomialIdeal.from_exponents(n, _capped_exponents(spec.caps, spec.degree))
 
 
-def _single_degree(ideal: MonomialIdeal) -> bool:
-    return len({g.degree() for g in ideal.gens}) <= 1
+def exchange_violation(ideal: MonomialIdeal) -> tuple | None:
+    """A witness (u, v, i, j) violating the strong exchange property, or None.
 
-
-def exchange_violation(ideal: MonomialIdeal, strong: bool = False) -> tuple | None:
-    """A witness (u, v, i) or (u, v, i, j) violating the (strong) exchange property.
-
-    Returns None when the property holds.  Only meaningful for ideals
-    generated in a single degree.
+    The property asks that u * x_j / x_i lie in the ideal for all
+    generators u, v with u_i > v_i and u_j < v_j.  Only meaningful for
+    ideals generated in a single degree.
     """
     gen_set = {g.exps for g in ideal.gens}
     n = ideal.n
@@ -352,33 +349,22 @@ def exchange_violation(ideal: MonomialIdeal, strong: bool = False) -> tuple | No
             for i in range(n):
                 if u.exps[i] <= v.exps[i]:
                     continue
-                swaps_in = []
-                candidates = [j for j in range(n) if u.exps[j] < v.exps[j]]
-                for j in candidates:
+                for j in range(n):
+                    if u.exps[j] >= v.exps[j]:
+                        continue
                     e = list(u.exps)
                     e[i] -= 1
                     e[j] += 1
-                    swaps_in.append(tuple(e) in gen_set)
-                if strong and not all(swaps_in):
-                    j = candidates[swaps_in.index(False)]
-                    return (u, v, i + 1, j + 1)
-                if not strong and not any(swaps_in):
-                    return (u, v, i + 1)
+                    if tuple(e) not in gen_set:
+                        return (u, v, i + 1, j + 1)
     return None
-
-
-def is_polymatroidal(ideal: MonomialIdeal) -> bool:
-    """Exhaustive check of the exchange property over all generator pairs."""
-    if not _single_degree(ideal):
-        return False
-    return exchange_violation(ideal, strong=False) is None
 
 
 def has_strong_exchange(ideal: MonomialIdeal) -> bool:
     """Exhaustive check of the strong exchange property."""
-    if not _single_degree(ideal):
+    if len({g.degree() for g in ideal.gens}) > 1:
         return False
-    return exchange_violation(ideal, strong=True) is None
+    return exchange_violation(ideal) is None
 
 
 def divide_out(ideal: MonomialIdeal) -> tuple[Monomial, MonomialIdeal]:

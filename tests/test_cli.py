@@ -52,6 +52,18 @@ def test_input_error_exit_codes(capsys, tmp_path):
     empty = write_graph(tmp_path, "empty.json", {"n": 4, "edges": []})
     code, _, err = run(capsys, "ideal", "--graph", empty)
     assert code == 2 and "input error" in err
+    point = write_graph(tmp_path, "point.json", {"n": 1, "edges": []})
+    for argv in (
+        ("ideal",),
+        ("ideal", "--s", "2"),
+        ("pd",),
+        ("hs", "--i", "0", "--s", "1"),
+        ("setmap",),
+        ("oracle",),
+        ("oracle", "--s", "2", "--i", "0"),
+    ):
+        code, out, err = run(capsys, *argv, "--graph", point)
+        assert code == 2 and out == "" and "graph has no edges" in err
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     code, _, _ = run(capsys, "ideal", "--graph", str(bad))

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -5,7 +6,6 @@ from networkx import from_prufer_sequence
 
 from homshift import (
     CycleLabeling,
-    EdgeMultiset,
     Graph,
     LabeledTree,
     PreconditionError,
@@ -132,10 +132,11 @@ def _bfs_dist(g, root):
 
 def test_even_connected_cycle_example():
     c4 = CycleLabeling(4).graph
-    es = EdgeMultiset.from_edges([(1, 2)])
-    walk = even_connection_walk(c4, 4, 3, es)
+    walk = even_connection_walk(c4, 4, 3, ((1, 2),))
     assert walk == [4, 1, 2, 3]
-    assert even_connected(c4, 4, 3, es)
+    assert even_connected(c4, 4, 3, ((1, 2),))
+    with pytest.raises(ValueError, match="not an edge of the host graph"):
+        even_connection_walk(c4, 4, 3, ((1, 2), (1, 3)))
 
 
 def test_even_connected_tree_never_closes():
@@ -144,31 +145,28 @@ def test_even_connected_tree_never_closes():
             g = t.graph
             for size in range(0, 3):
                 for edges in combinations_with_replacement(g.edges, size):
-                    es = EdgeMultiset.from_edges(edges)
                     for v in g.vertices():
-                        assert not even_connected(g, v, v, es)
+                        assert not even_connected(g, v, v, edges)
 
 
 def test_even_connected_odd_cycle_closes():
     c5 = CycleLabeling(5)
-    es = EdgeMultiset.from_edges([c5.edge(1), c5.edge(3)])
-    walk = even_connection_walk(c5.graph, 5, 5, es)
+    walk = even_connection_walk(c5.graph, 5, 5, (c5.edge(1), c5.edge(3)))
     assert walk == [5, 1, 2, 3, 4, 5]
     for n in (5, 7):
         c = CycleLabeling(n)
         m = n // 2
-        es = EdgeMultiset.from_edges([c.edge(2 * t + 1) for t in range(m)])
-        assert even_connected(c.graph, n, n, es)
+        assert even_connected(c.graph, n, n, tuple(c.edge(2 * t + 1) for t in range(m)))
 
 
 def test_even_connected_empty_multiset_is_false():
     g = path(4)
-    assert not even_connected(g, 1, 4, EdgeMultiset.from_edges([]))
+    assert not even_connected(g, 1, 4, ())
 
 
-def _brute_even_connected(g, j, k, es):
+def _brute_even_connected(g, j, k, edges):
     """Independent check: enumerate all vertex sequences of admissible lengths."""
-    edges = es.as_edge_list()
+    available = Counter(edges)
     for l in range(1, len(edges) + 1):
         length = 2 * l + 2
         for seq in product(range(1, g.n + 1), repeat=length):
@@ -176,11 +174,8 @@ def _brute_even_connected(g, j, k, es):
                 continue
             if any(not g.has_edge(a, b) for a, b in zip(seq, seq[1:])):
                 continue
-            used = [tuple(sorted((seq[2 * t + 1], seq[2 * t + 2]))) for t in range(l)]
-            counts = {}
-            for e in used:
-                counts[e] = counts.get(e, 0) + 1
-            if all(counts[e] <= es.counts.get(e, 0) for e in counts):
+            used = Counter(tuple(sorted((seq[2 * t + 1], seq[2 * t + 2]))) for t in range(l))
+            if all(c <= available[e] for e, c in used.items()):
                 return True
     return False
 
@@ -190,25 +185,23 @@ def test_even_connected_matches_brute_force(n):
     c = CycleLabeling(n)
     g = c.graph
     for edges in combinations_with_replacement(g.edges, 2):
-        es = EdgeMultiset.from_edges(edges)
         for j in g.vertices():
             for k in g.vertices():
-                assert even_connected(g, j, k, es) == _brute_even_connected(g, j, k, es)
+                assert even_connected(g, j, k, edges) == _brute_even_connected(g, j, k, edges)
 
 
 def test_even_connected_is_symmetric():
     for g in [CycleLabeling(5).graph, path(5), Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3)])]:
         for edges in combinations_with_replacement(g.edges, 2):
-            es = EdgeMultiset.from_edges(edges)
             for j in g.vertices():
                 for k in g.vertices():
-                    assert even_connected(g, j, k, es) == even_connected(g, k, j, es)
+                    assert even_connected(g, j, k, edges) == even_connected(g, k, j, edges)
 
 
 def test_witness_walk_shape():
     c6 = CycleLabeling(6)
-    es = EdgeMultiset.from_edges([c6.edge(1), c6.edge(3)])
-    walk = even_connection_walk(c6.graph, 6, 5, es)
+    edges = (c6.edge(1), c6.edge(3))
+    walk = even_connection_walk(c6.graph, 6, 5, edges)
     assert walk is not None
     assert len(walk) % 2 == 0 and len(walk) >= 4
     assert walk[0] == 6 and walk[-1] == 5
@@ -216,7 +209,7 @@ def test_witness_walk_shape():
         assert c6.graph.has_edge(a, b)
     interior = [tuple(sorted(walk[2 * t + 1 : 2 * t + 3])) for t in range((len(walk) - 2) // 2)]
     for e in set(interior):
-        assert interior.count(e) <= es.counts.get(e, 0)
+        assert interior.count(e) <= edges.count(e)
 
 
 def test_caterpillar_examples():
@@ -298,15 +291,3 @@ def test_graph_json_round_trip_and_kinds():
         graph_from_dict({"edges": []})
     with pytest.raises(InputFormatError):
         graph_from_dict({"n": 2, "edges": [[1, 2, 3]]})
-
-
-def test_edge_multiset():
-    es = EdgeMultiset.from_edges([(2, 1), (1, 2), (3, 4)])
-    assert es.total == 3
-    assert es.counts == {(1, 2): 2, (3, 4): 1}
-    smaller = es.remove_one((1, 2))
-    assert smaller.counts == {(1, 2): 1, (3, 4): 1}
-    with pytest.raises(ValueError):
-        smaller.remove_one((5, 6))
-    with pytest.raises(ValueError):
-        es.validate_hosted(path(3))

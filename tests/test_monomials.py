@@ -6,13 +6,13 @@ from homshift import (
     VeroneseSpec,
     divide_out,
     has_strong_exchange,
-    is_polymatroidal,
     maximal_ideal,
     rename_variables,
     squarefree_power_of_maximal,
     veronese_type,
 )
 from homshift.graphs import invert_permutation
+from homshift.monomials import exchange_violation
 
 
 def mono(*exps):
@@ -126,13 +126,38 @@ def test_veronese_squarefree_agrees_with_maximal_powers():
 
 def test_exchange_property_examples():
     V = veronese_type(VeroneseSpec((2, 1), 2))
-    assert is_polymatroidal(V) and has_strong_exchange(V)
+    assert has_strong_exchange(V) and exchange_violation(V) is None
     split = ideal(4, (1, 1, 0, 0), (0, 0, 1, 1))
-    assert not is_polymatroidal(split)
-    assert is_polymatroidal(MonomialIdeal.unit(3))
+    assert not has_strong_exchange(split)
     assert has_strong_exchange(MonomialIdeal.unit(3))
     mixed = ideal(2, (1, 0), (0, 2))
-    assert not is_polymatroidal(mixed)  # not generated in a single degree
+    assert not has_strong_exchange(mixed)  # not generated in a single degree
+    # (x1, x2)(x3, x4) is polymatroidal, but has no strong exchange.
+    transversal = ideal(4, (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
+    u, v, i, j = exchange_violation(transversal)
+    assert u.exps[i - 1] > v.exps[i - 1] and u.exps[j - 1] < v.exps[j - 1]
+    assert _swap(u.exps, i - 1, j - 1) not in {g.exps for g in transversal.gens}
+
+
+def _swap(u, i, j):
+    w = list(u)
+    w[i] -= 1
+    w[j] += 1
+    return tuple(w)
+
+
+def _is_polymatroidal(I):
+    """The exchange property by brute force: for u_i > v_i some u_j < v_j keeps u x_j / x_i."""
+    gens = {g.exps for g in I.gens}
+    if len({sum(u) for u in gens}) > 1:
+        return False
+    return all(
+        any(u[j] < v[j] and _swap(u, i, j) in gens for j in range(I.n))
+        for u in gens
+        for v in gens
+        for i in range(I.n)
+        if u[i] > v[i]
+    )
 
 
 def test_strong_exchange_implies_polymatroidal_exhaustively():
@@ -144,7 +169,9 @@ def test_strong_exchange_implies_polymatroidal_exhaustively():
         for rows in combinations(degree2, k):
             I = ideal(3, *rows)
             if has_strong_exchange(I):
-                assert is_polymatroidal(I)
+                assert _is_polymatroidal(I)
+    assert _is_polymatroidal(ideal(4, (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)))
+    assert not _is_polymatroidal(ideal(4, (1, 1, 0, 0), (0, 0, 1, 1)))
 
 
 def test_divide_out_examples():
