@@ -10,12 +10,23 @@ lcm lattice recovers every homological shift ideal and the projective
 dimension without any reference to linear quotients.  Ranks are exact:
 fraction-free integer elimination by default, or arithmetic modulo a
 fixed large prime when a finite field is requested.
+
+Both the lattice and the complexes are read from the integer matrix G of
+generator exponents, one row per generator.  The lattice is closed round
+by round: the rows first found in the last round are joined with every
+row of G by one ``np.maximum``, and byte keys of whole rows drop the joins
+already seen.  For a lattice element a, the rows u of G with u <= a are
+the generators dividing x^a, and each gives the facet {p : u_p < a_p}
+(supp(a) minus the variables where u reaches a), so K^a costs two
+comparisons of G with a.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
+
+import numpy as np
 
 from .errors import OracleCapError
 from .monomials import Monomial, MonomialIdeal
@@ -24,6 +35,9 @@ DEFAULT_PRIME = 2**31 - 1
 
 DEFAULT_GEN_CAP = 60
 DEFAULT_LATTICE_CAP = 100_000
+
+# Entries in one block of frontier-generator joins (8 MiB of int64).
+_JOIN_BLOCK = 1 << 20
 
 
 class SimplicialComplex:
@@ -158,20 +172,36 @@ def reduced_homology_rank(c: SimplicialComplex, i: int, field: int = 0) -> int:
     return _reduced_homology(c, field).get(i, 0)
 
 
+def _exponent_matrix(ideal: MonomialIdeal) -> np.ndarray:
+    """The generators' exponent vectors as the rows of an integer matrix."""
+    rows = [g.exps for g in ideal.gens]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), ideal.n)
+
+
+def _koszul_complex(gens: np.ndarray, a: Monomial) -> SimplicialComplex:
+    """K^a from the generator rows: each u dividing x^a gives the facet {p : u_p < a_p}."""
+    exps = np.array(a.exps, dtype=np.int64)
+    below = gens[(gens <= exps).all(axis=1)] < exps
+    labels = range(1, len(exps) + 1)
+    return SimplicialComplex(a.support(), {tuple(compress(labels, row)) for row in below.tolist()})
+
+
 def upper_koszul(ideal: MonomialIdeal, a: Monomial) -> SimplicialComplex:
     """The complex of subsets F of supp(a) with x^a / x_F in the ideal.
 
     With T_u = {p in supp(a) : the generator u has full exponent a_p},
-    each generator u dividing x^a contributes the facet supp(a) - T_u.
+    each generator u dividing x^a contributes the facet supp(a) - T_u,
+    which is {p : u_p < a_p}.
     """
-    ground = a.support()
-    facets = []
-    for u in ideal.gens:
-        if not u.divides(a):
-            continue
-        blocked = {p for p in ground if u.exps[p - 1] == a.exps[p - 1]}
-        facets.append(frozenset(set(ground) - blocked))
-    return SimplicialComplex(ground, facets)
+    if a.n != ideal.n:
+        raise ValueError("ambient variable counts differ")
+    return _koszul_complex(_exponent_matrix(ideal), a)
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row (its bytes); two keys are equal exactly when the rows are."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def lcm_lattice(
@@ -179,28 +209,43 @@ def lcm_lattice(
     gen_cap: int = DEFAULT_GEN_CAP,
     size_cap: int = DEFAULT_LATTICE_CAP,
 ) -> list[Monomial]:
-    """All joins of nonempty generator subsets, refusing oversized inputs."""
-    gens = [g.exps for g in ideal.gens]
-    if len(gens) > gen_cap:
+    """All joins of nonempty generator subsets in ascending exponent order.
+
+    Refuses more than ``gen_cap`` generators before any work, and a
+    lattice of more than ``size_cap`` elements.  Each frontier (the
+    elements first found in the previous round) is joined with every
+    generator by one ``np.maximum``, in blocks of at most ``_JOIN_BLOCK``
+    entries so that memory stays bounded; row keys drop the joins
+    already seen.
+    """
+    if len(ideal.gens) > gen_cap:
         raise OracleCapError(
-            f"{len(gens)} generators exceed the oracle cap of {gen_cap}"
+            f"{len(ideal.gens)} generators exceed the oracle cap of {gen_cap}"
         )
-    lattice: set[tuple[int, ...]] = set(gens)
-    frontier = set(gens)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for g in gens:
-                j = tuple(max(x, y) for x, y in zip(a, g))
-                if j not in lattice:
-                    new.add(j)
-        lattice |= new
-        if len(lattice) > size_cap:
-            raise OracleCapError(
-                f"lcm lattice exceeds the size cap of {size_cap}"
-            )
-        frontier = new
-    return [Monomial(t) for t in sorted(lattice)]
+    if ideal.n == 0:
+        # (0) or (1): its own lattice, and rows without bytes have no key.
+        return list(ideal.gens)
+    gens = _exponent_matrix(ideal)
+    found, seen, frontier = [gens], _row_keys(gens), gens
+    step = max(1, _JOIN_BLOCK // max(gens.size, 1))
+    while len(frontier):
+        fresh = []
+        for start in range(0, len(frontier), step):
+            block = frontier[start : start + step]
+            joins = np.maximum(block[:, None, :], gens[None, :, :]).reshape(-1, ideal.n)
+            keys, first = np.unique(_row_keys(joins), return_index=True)
+            # Minimal generators are distinct and only new keys join `seen`.
+            new = ~np.isin(keys, seen, assume_unique=True)
+            seen = np.concatenate((seen, keys[new]))
+            fresh.append(joins[first[new]])
+            if len(seen) > size_cap:
+                raise OracleCapError(
+                    f"lcm lattice exceeds the size cap of {size_cap}"
+                )
+        frontier = np.concatenate(fresh)
+        found.append(frontier)
+    lattice = np.concatenate(found)
+    return [Monomial(row) for row in lattice[np.lexsort(lattice.T[::-1])].tolist()]
 
 
 @dataclass(frozen=True)
@@ -239,8 +284,10 @@ def betti_table(
     if cached is not None:
         return cached
     entries: dict = {}
-    for a in lcm_lattice(ideal, gen_cap, size_cap):
-        for d, h in _reduced_homology(upper_koszul(ideal, a), field).items():
+    lattice = lcm_lattice(ideal, gen_cap, size_cap)
+    gens = _exponent_matrix(ideal)
+    for a in lattice:
+        for d, h in _reduced_homology(_koszul_complex(gens, a), field).items():
             entries[(d + 1, a.exps)] = h
     table = BettiTable(ideal.n, entries)
     _TABLE_CACHE[key] = table

@@ -119,10 +119,11 @@ def cmd_pd(args) -> int:
 
 
 def cmd_hs(args) -> int:
+    _require_power(args.s)
+    if args.i < 0:
+        raise PreconditionError("homological index must be at least 0")
     g = _load_graph(args.graph)
     _require_connected(g)
-    if args.i < 0 or args.s < 1:
-        raise PreconditionError("hs requires i >= 0 and s >= 1")
     ideal = hs_power(g, args.i, args.s)
     _print_ideal(ideal, args.format)
     if args.closed_form:
@@ -138,6 +139,7 @@ def cmd_hs(args) -> int:
 
 
 def cmd_setmap(args) -> int:
+    _require_power(args.s)
     g = _load_graph(args.graph)
     _require_connected(g)
     facts = power_generators(g, args.s)

@@ -1,5 +1,10 @@
-import pytest
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import homshift.betti
 from homshift import (
     CycleLabeling,
     Graph,
@@ -180,3 +185,86 @@ def test_betti_table_cache_respects_caps():
         betti_table(I, gen_cap=2)
     with pytest.raises(OracleCapError):
         betti_table(I, size_cap=3)
+
+
+def test_lcm_lattice_trivial_ideals():
+    for n in range(4):
+        zero = MonomialIdeal.zero(n)
+        assert lcm_lattice(zero) == []
+        assert betti_table(zero).entries == {}
+        unit = MonomialIdeal.unit(n)
+        assert lcm_lattice(unit) == [Monomial.one(n)]
+        assert betti_table(unit).entries == {(0, (0,) * n): 1}
+
+
+def test_lcm_lattice_caps_are_exact():
+    for I in (
+        ideal(3, (1, 1, 0), (0, 1, 1), (1, 0, 1)),
+        comp_power_ideal(CycleLabeling(5).graph, 2),
+    ):
+        size = len(lcm_lattice(I))
+        assert len(lcm_lattice(I, size_cap=size)) == size
+        with pytest.raises(OracleCapError, match="size cap"):
+            lcm_lattice(I, size_cap=size - 1)
+        with pytest.raises(OracleCapError, match="size cap"):
+            betti_table(I, size_cap=size - 1)
+
+
+def test_lcm_lattice_independent_of_join_blocks(monkeypatch):
+    ideals = [comp_power_ideal(g, 2) for g in connected_graphs(5)]
+    lattices = [lcm_lattice(I) for I in ideals]
+    # One frontier row per block: every round spans many blocks.
+    monkeypatch.setattr(homshift.betti, "_JOIN_BLOCK", 1)
+    assert [lcm_lattice(I) for I in ideals] == lattices
+    for I, lattice in zip(ideals, lattices):
+        assert len(lcm_lattice(I, size_cap=len(lattice))) == len(lattice)
+        with pytest.raises(OracleCapError, match="size cap"):
+            lcm_lattice(I, size_cap=len(lattice) - 1)
+
+
+def test_gen_cap_refuses_before_lattice_work(monkeypatch):
+    def no_work(ideal):
+        raise AssertionError("exponent matrix built for a refused ideal")
+
+    monkeypatch.setattr(homshift.betti, "_exponent_matrix", no_work)
+    I = ideal(3, (1, 1, 0), (0, 1, 1), (1, 0, 1))
+    for call in (lcm_lattice, betti_table):
+        with pytest.raises(OracleCapError, match="oracle cap of 2"):
+            call(I, gen_cap=2)
+
+
+@st.composite
+def small_ideals(draw):
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=6))
+    return MonomialIdeal.from_exponents(n, rows)
+
+
+ORACLE_PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+@ORACLE_PROPERTY
+@given(small_ideals())
+def test_lcm_lattice_matches_subset_lcms(I):
+    gens = [g.exps for g in I.gens]
+    joins = {
+        tuple(map(max, zip(*subset)))
+        for k in range(1, len(gens) + 1)
+        for subset in combinations(gens, k)
+    }
+    assert [m.exps for m in lcm_lattice(I)] == sorted(joins)
+
+
+@ORACLE_PROPERTY
+@given(small_ideals(), st.lists(st.integers(0, 300), min_size=5, max_size=5))
+def test_upper_koszul_matches_definition(I, extra):
+    for a in lcm_lattice(I) + [Monomial(extra[: I.n])]:
+        support = a.support()
+        want = {
+            face
+            for k in range(len(support) + 1)
+            for face in combinations(support, k)
+            if a / Monomial.from_support(I.n, face) in I
+        }
+        got = upper_koszul(I, a).faces_by_dim()
+        assert {face for faces in got.values() for face in faces} == want

@@ -105,6 +105,21 @@ def test_precondition_exit_codes(capsys, tmp_path, p4):
     ):
         code, out, err = run(capsys, *argv, "--graph", p4)
         assert code == 3 and out == "" and "power must be at least 1" in err
+    # Arguments are checked before the graph is read, so a graph without
+    # edges does not turn a bad power into an input error.
+    point = write_graph(tmp_path, "point.json", {"n": 1, "edges": []})
+    for argv in (
+        ("ideal", "--s", "0"),
+        ("pd", "--s-max", "0"),
+        ("hs", "--i", "0", "--s", "0"),
+        ("setmap", "--s", "0"),
+        ("oracle", "--s", "0"),
+    ):
+        code, out, err = run(capsys, *argv, "--graph", point)
+        assert code == 3 and out == "" and "power must be at least 1" in err
+    for argv in (("hs", "--i", "-1"), ("oracle", "--i", "-1")):
+        code, out, err = run(capsys, *argv, "--graph", point)
+        assert code == 3 and out == "" and "homological index must be at least 0" in err
 
 
 def test_pd_command_with_closed_form(capsys, c4):
