@@ -50,13 +50,15 @@ class SimplicialComplex:
     __slots__ = ("ground", "facets")
 
     def __init__(self, ground, facets):
-        ground = tuple(sorted(set(ground)))
+        ground_set = set(ground)
+        ground = tuple(sorted(ground_set))
         cleaned = []
         fsets = sorted({frozenset(f) for f in facets}, key=lambda f: (len(f), sorted(f)))
-        for f in fsets:
-            if not f <= set(ground):
+        for k, f in enumerate(fsets):
+            if not f <= ground_set:
                 raise ValueError(f"facet {sorted(f)} outside ground set {ground}")
-            if any(f < g for g in fsets):
+            # Sorted by size, so only later facets can strictly contain f.
+            if any(f < g for g in fsets[k + 1 :]):
                 continue
             cleaned.append(f)
         object.__setattr__(self, "ground", ground)

@@ -61,6 +61,14 @@ def _require_connected(g: Graph) -> None:
         raise PreconditionError("this command requires a connected graph")
 
 
+def _power_ideal(g: Graph, s: int) -> MonomialIdeal:
+    """I_c(g)^s; only powers above the first need a connected graph."""
+    if s == 1:
+        return comp_edge_ideal(g)
+    _require_connected(g)
+    return comp_power_ideal(g, s)
+
+
 def _require_power(s: int) -> None:
     if s < 1:
         raise PreconditionError("power must be at least 1")
@@ -82,13 +90,7 @@ def _print_ideal(ideal: MonomialIdeal, fmt: str) -> None:
 
 def cmd_ideal(args) -> int:
     _require_power(args.s)
-    g = _load_graph(args.graph)
-    if args.s == 1:
-        ideal = comp_edge_ideal(g)
-    else:
-        _require_connected(g)
-        ideal = comp_power_ideal(g, args.s)
-    _print_ideal(ideal, args.format)
+    _print_ideal(_power_ideal(_load_graph(args.graph), args.s), args.format)
     return EXIT_OK
 
 
@@ -162,11 +164,7 @@ def cmd_oracle(args) -> int:
     if args.i is not None and args.i < 0:
         raise PreconditionError("homological index must be at least 0")
     g = _load_graph(args.graph)
-    if args.s == 1:
-        ideal = comp_edge_ideal(g)
-    else:
-        _require_connected(g)
-        ideal = comp_power_ideal(g, args.s)
+    ideal = _power_ideal(g, args.s)
     table = betti_table(ideal, gen_cap=args.gen_cap)
     if args.i is not None:
         _print_ideal(MonomialIdeal.from_exponents(g.n, table.degrees_at(args.i)), args.format)

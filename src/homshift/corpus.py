@@ -135,9 +135,9 @@ def check_set_maps(x: LabeledTree | CycleLabeling, s: int) -> dict:
 def check_hs_formulas(x: LabeledTree | CycleLabeling, i: int, s: int) -> dict:
     """The tree/cycle closed form of HS_i(I^s) equals the linear-quotient one."""
     if isinstance(x, LabeledTree):
-        kind, lhs = "tree", hs_tree_formula(x, i, s)
+        kind, lhs = "tree", hs_tree_formula(x.graph, i, s)
     else:
-        kind, lhs = "cycle", hs_cycle_formula(x, i, s)
+        kind, lhs = "cycle", hs_cycle_formula(x.graph, i, s)
     rhs = hs_linear_quotients(power_set_map(x.graph, s), i)
     return _record(
         f"hs-formulas/{kind}", x, {"i": i, "s": s}, lhs == rhs, lhs.num_gens(), rhs.num_gens()
@@ -164,8 +164,8 @@ def check_veronese(t: LabeledTree, i: int) -> dict:
         t,
         {"i": i},
         veronese_structure_check(t, i),
-        j_ideal(t, i).num_gens(),
-        k_ideal(t, i).num_gens(),
+        j_ideal(t.graph, i).num_gens(),
+        k_ideal(t.graph, i).num_gens(),
     )
 
 

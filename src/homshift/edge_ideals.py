@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from typing import Iterable
 
 import numpy as np
 
@@ -120,7 +121,7 @@ class SetMap:
         return zip(self.gens, self.sets)
 
 
-def set_map_colon(ordered) -> SetMap:
+def set_map_colon(ordered: Iterable[Monomial]) -> SetMap:
     """Compute set(u) for each generator from the successive colon ideals.
 
     The generators must all have the same degree (PreconditionError
@@ -133,8 +134,7 @@ def set_map_colon(ordered) -> SetMap:
     quotient u_t / gcd(u_t, u_i) must be divisible by some variable that
     itself lies in the colon.  Raises NotLinearQuotientsError otherwise.
     """
-    gens = tuple(ordered if isinstance(ordered, (list, tuple)) else list(ordered))
-    gens = tuple(f.monomial if isinstance(f, Factorization) else f for f in gens)
+    gens = tuple(ordered)
     if len({g.exps for g in gens}) != len(gens):
         raise ValueError("ordered generators must be pairwise distinct")
     if not gens:
@@ -261,14 +261,10 @@ def pd_of_power(g: Graph, s: int) -> int:
     return pd_linear_quotients(power_set_map(g, s))
 
 
-def pd_formula(g: Graph | LabeledTree | CycleLabeling, s: int) -> int:
+def pd_formula(g: Graph, s: int) -> int:
     """Closed-form pd of the s-th power for trees and cycles only."""
     if s < 1:
         raise PreconditionError("power must be at least 1")
-    if isinstance(g, LabeledTree):
-        g = g.graph
-    if isinstance(g, CycleLabeling):
-        g = g.graph
     if is_tree(g):
         return min(s, g.n - 2)
     if is_cycle_graph(g):

@@ -245,7 +245,7 @@ def tree_distance_labeling(t: Graph, root_leaf: int) -> tuple[LabeledTree, tuple
     Vertices are ordered by decreasing distance to the root leaf, ties
     broken by breadth-first discovery order (which itself visits smaller
     original names first), giving one deterministic admissible labeling.
-    Returns (tree, perm) with perm[old-1] = new, as cycle_labeling_of does.
+    Returns (tree, perm) with perm[old-1] = new.
     """
     if not is_tree(t):
         raise PreconditionError("distance labeling requires a tree")
@@ -334,40 +334,11 @@ def caterpillar_from_profile(a: Iterable[int]) -> LabeledTree:
     return LabeledTree(Graph(n_vertices, edges))
 
 
-def spanning_paths_of_cycle(c: CycleLabeling) -> list[tuple[LabeledTree, tuple[int, ...]]]:
-    """The n spanning paths of a cycle, path j omitting edge j-1.
-
-    Each path is given its distance labeling so tree-form computations
-    apply directly; it comes as (tree, perm) from tree_distance_labeling,
-    with perm[cycle vertex - 1] = tree label.
-    """
-    out = []
-    for j in range(1, c.n + 1):
-        removed = c.edge(j - 1)
-        edges = [c.edge(t) for t in range(1, c.n + 1) if c.edge(t) != removed]
-        path = Graph(c.n, edges)
-        root = max(removed)
-        out.append(tree_distance_labeling(path, root))
-    return out
-
-
-def cycle_labeling_of(g: Graph) -> tuple[CycleLabeling, tuple[int, ...]]:
-    """View a cycle graph in cyclic coordinates; returns (labeling, perm).
-
-    perm[old-1] = position in the cyclic order, walking from vertex 1
-    toward its smaller neighbor.
-    """
-    if not is_cycle_graph(g):
-        raise PreconditionError("cyclic labeling requires a cycle graph")
-    walk = [1, min(g.neighbors(1))]
-    while len(walk) < g.n:
-        prev, cur = walk[-2], walk[-1]
-        nxt = next(w for w in g.neighbors(cur) if w != prev)
-        walk.append(nxt)
-    perm = [0] * g.n
-    for pos, v in enumerate(walk, start=1):
-        perm[v - 1] = pos
-    return CycleLabeling(g.n), tuple(perm)
+def spanning_paths_of_cycle(c: CycleLabeling) -> list[Graph]:
+    """The n spanning paths of a cycle in its own labels, path j omitting edge j-1."""
+    return [
+        Graph(c.n, [e for e in c.graph.edges if e != c.edge(j - 1)]) for j in range(1, c.n + 1)
+    ]
 
 
 def spanning_tree(g: Graph) -> Graph:

@@ -5,14 +5,18 @@ subsets F of set(u) with |F| = i whenever I has linear quotients.  For
 complementary edge ideals this module also evaluates the closed forms
 
   trees:   HS_i(I^s) = I^{s-i} * ( alpha^i / prod_{k in F} x_phi(k) ),
-           F running over the i-subsets of [n-2], valid for 1 <= i <= s;
+           rooted at the largest leaf r, F running over the i-subsets of
+           the vertices other than r and its neighbor, phi(k) the parent
+           of k toward r; valid for 1 <= i <= s;
 
   cycles:  HS_i(I^s) = sum over k from max(i - ceil(n/2) + 1, 0) to
            floor(i/2) of (alpha^{i-k} / x_F) * I^{s-i+k} with |F| = i - 2k,
            valid for 1 <= i < n and s >= floor(i/2);
 
-with I^0 the unit ideal and I^t = 0 for t < 0.  Outside those ranges the
-engine falls back to the linear-quotient computation.
+with I^0 the unit ideal and I^t = 0 for t < 0.  Both are evaluated in the
+graph's own labels: on an admissibly labeled tree r = n and F runs over
+[n-2], and the cycle form sums over all subsets F of [n].  Outside those
+ranges the engine falls back to the linear-quotient computation.
 """
 
 from __future__ import annotations
@@ -30,16 +34,13 @@ from .edge_ideals import (
 )
 from .errors import PreconditionError
 from .graphs import (
-    CycleLabeling,
     Graph,
     LabeledTree,
+    _distances_from,
     caterpillar_from_profile,
-    cycle_labeling_of,
-    invert_permutation,
     is_connected,
     is_cycle_graph,
     is_tree,
-    tree_distance_labeling,
 )
 from .monomials import (
     Monomial,
@@ -117,77 +118,83 @@ def hs1_power_identity_check(g: Graph, s: int) -> bool:
     return lhs == rhs
 
 
-def j_ideal(t: LabeledTree, i: int) -> MonomialIdeal:
-    """The ideal of alpha^i / prod_{k in F} x_phi(k) over i-subsets F of [n-2]."""
+def _parent_counts(t: Graph, i: int) -> list[list[int]]:
+    """Exponents of prod_{k in F} x_phi(k) over the i-subsets F of the tree's non-root vertices.
+
+    The root is the largest leaf r; F avoids r and its neighbor, and phi(k)
+    is the neighbor of k one step closer to r.
+    """
+    if not is_tree(t):
+        raise PreconditionError("the tree formulas require a tree")
     n = t.n
     if i < 0 or i > n - 2:
         raise PreconditionError(f"index {i} outside [0, {n - 2}]")
-    gens = []
-    for F in combinations(range(1, n - 1), i):
-        exps = [i] * n
-        for k in F:
-            exps[t.phi(k) - 1] -= 1
-        gens.append(Monomial(exps))
-    return MonomialIdeal(n, gens)
-
-
-def k_ideal(t: LabeledTree, i: int) -> MonomialIdeal:
-    """The ideal of prod_{k in F} x_phi(k) over i-subsets F of [n-2]; K_0 = S."""
-    n = t.n
-    if i < 0 or i > n - 2:
-        raise PreconditionError(f"index {i} outside [0, {n - 2}]")
-    gens = []
-    for F in combinations(range(1, n - 1), i):
+    dist = _distances_from(t, max(v for v in t.vertices() if t.degree(v) == 1))
+    # Each child of a vertex other than r: every vertex two or more steps from r.
+    parent = {k: v for v in dist if dist[v] for k in t.neighbors(v) if dist[k] > dist[v]}
+    rows = []
+    for F in combinations(sorted(parent), i):
         exps = [0] * n
         for k in F:
-            exps[t.phi(k) - 1] += 1
-        gens.append(Monomial(exps))
-    return MonomialIdeal(n, gens)
+            exps[parent[k] - 1] += 1
+        rows.append(exps)
+    return rows
 
 
-def hs_tree_formula(t: LabeledTree, i: int, s: int) -> MonomialIdeal:
+def j_ideal(t: Graph, i: int) -> MonomialIdeal:
+    """The ideal of alpha^i / prod_{k in F} x_phi(k) over i-subsets F of the non-root vertices."""
+    return MonomialIdeal.from_exponents(t.n, ([i - e for e in row] for row in _parent_counts(t, i)))
+
+
+def k_ideal(t: Graph, i: int) -> MonomialIdeal:
+    """The ideal of prod_{k in F} x_phi(k) over i-subsets F of the non-root vertices; K_0 = S."""
+    return MonomialIdeal.from_exponents(t.n, _parent_counts(t, i))
+
+
+def hs_tree_formula(t: Graph, i: int, s: int) -> MonomialIdeal:
     """The tree closed form I^{s-i} * J_i, valid for 1 <= i <= s."""
+    if not is_tree(t):
+        raise PreconditionError("the tree formula requires a tree")
     if not 1 <= i <= s:
         raise PreconditionError(f"tree formula needs 1 <= i <= s, got i={i}, s={s}")
     if i > t.n - 2:
         return MonomialIdeal.zero(t.n)
-    return comp_power_ideal(t.graph, s - i) * j_ideal(t, i)
+    return comp_power_ideal(t, s - i) * j_ideal(t, i)
 
 
-def hs_cycle_formula(c: CycleLabeling, i: int, s: int) -> MonomialIdeal:
+def hs_cycle_formula(c: Graph, i: int, s: int) -> MonomialIdeal:
     """The cycle closed form, valid for 1 <= i < n and s >= floor(i/2)."""
+    if not is_cycle_graph(c):
+        raise PreconditionError("the cycle formula requires a cycle")
     n = c.n
     if not 1 <= i < n:
         raise PreconditionError(f"cycle formula needs 1 <= i < n, got i={i}")
     if s < i // 2:
         raise PreconditionError(f"cycle formula needs s >= floor(i/2), got s={s}")
-    ceil_half = (n + 1) // 2
-    gens: list[Monomial] = []
-    for k in range(max(i - ceil_half + 1, 0), i // 2 + 1):
-        power = comp_power_ideal(c.graph, s - i + k)
-        if power.is_zero():
-            continue
+    total = MonomialIdeal.zero(n)
+    for k in range(max(i - (n + 1) // 2 + 1, 0), i // 2 + 1):
         base = Monomial.uniform(n, i - k)
-        for F in combinations(range(1, n + 1), i - 2 * k):
-            shifted = base / Monomial.from_support(n, F)
-            gens.extend(shifted * u for u in power.gens)
-    return MonomialIdeal(n, gens)
+        block = MonomialIdeal(
+            n, [base / Monomial.from_support(n, F) for F in combinations(c.vertices(), i - 2 * k)]
+        )
+        total = total + comp_power_ideal(c, s - i + k) * block
+    return total
 
 
-def hs_cycle_top(c: CycleLabeling, s: int) -> MonomialIdeal:
+def hs_cycle_top(c: Graph, s: int) -> MonomialIdeal:
     """The top nonvanishing shift ideal of a cycle power as alpha-power times a power.
 
     For odd n = 2m+1 this is HS_{2m}(I^s) = alpha^m * I^{s-m} (s >= m);
     for even n = 2m it is HS_{2m-2}(I^s) = alpha^{m-1} * I^{s-m+1}
     (s >= m-1).
     """
+    if not is_cycle_graph(c):
+        raise PreconditionError("the top shift formula requires a cycle")
     m = c.n // 2
     threshold = m if c.n % 2 else m - 1
     if s < threshold:
         raise PreconditionError(f"top shift formula needs s >= {threshold}, got {s}")
-    return comp_power_ideal(c.graph, s - threshold).scaled(
-        Monomial.uniform(c.n, threshold)
-    )
+    return comp_power_ideal(c, s - threshold).scaled(Monomial.uniform(c.n, threshold))
 
 
 class MaximalIdentityResult(NamedTuple):
@@ -232,11 +239,12 @@ def veronese_structure_check(t: LabeledTree, i: int) -> bool:
     b = [0] * n
     for j in range(1, n - 1):
         b[t.phi(j) - 1] += 1
-    ok_veronese = k_ideal(t, i) == veronese_type(VeroneseSpec(tuple(b), i))
-    lhs = j_ideal(t, i).scaled(Monomial(b))
-    rhs = k_ideal(t, n - 2 - i).scaled(Monomial.uniform(n, i))
+    j = j_ideal(t.graph, i)
+    ok_veronese = k_ideal(t.graph, i) == veronese_type(VeroneseSpec(tuple(b), i))
+    lhs = j.scaled(Monomial(b))
+    rhs = k_ideal(t.graph, n - 2 - i).scaled(Monomial.uniform(n, i))
     ok_cleared = lhs == rhs
-    ok_exchange = has_strong_exchange(j_ideal(t, i))
+    ok_exchange = has_strong_exchange(j)
     return ok_veronese and ok_cleared and ok_exchange
 
 
@@ -270,7 +278,7 @@ def caterpillar_realization(
     if i == 0:
         shift_ideal = MonomialIdeal.unit(t.n)
     else:
-        shift_ideal = hs_tree_formula(t, i, i)
+        shift_ideal = hs_tree_formula(t.graph, i, i)
     content, core = divide_out(shift_ideal)
     _, veronese_core = divide_out(_embed_veronese(spec, t))
     return t, content, core == veronese_core
@@ -347,16 +355,7 @@ def hs_closed_form(g: Graph, i: int, s: int) -> MonomialIdeal | None:
     if s == 0:
         return MonomialIdeal.zero(g.n)
     if is_tree(g):
-        if not 1 <= i <= s:
-            return None
-        leaves = [v for v in g.vertices() if g.degree(v) == 1]
-        t, perm = tree_distance_labeling(g, max(leaves))
-        hs = hs_tree_formula(t, i, s)
-    elif is_cycle_graph(g):
-        if not (1 <= i < g.n and s >= i // 2):
-            return None
-        cyc, perm = cycle_labeling_of(g)
-        hs = hs_cycle_formula(cyc, i, s)
-    else:
-        return None
-    return rename_variables(hs, invert_permutation(perm), g.n)
+        return hs_tree_formula(g, i, s) if 1 <= i <= s else None
+    if is_cycle_graph(g):
+        return hs_cycle_formula(g, i, s) if 1 <= i < g.n and s >= i // 2 else None
+    return None

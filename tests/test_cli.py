@@ -88,8 +88,12 @@ def test_input_error_exit_codes(capsys, tmp_path):
 
 def test_precondition_exit_codes(capsys, tmp_path, p4):
     disc = write_graph(tmp_path, "disc.json", {"n": 4, "edges": [[1, 2], [3, 4]]})
-    code, _, err = run(capsys, "ideal", "--graph", disc, "--s", "2")
-    assert code == 3 and "precondition" in err
+    # The first power of a disconnected graph is defined; higher powers need connectivity.
+    for command in ("ideal", "oracle"):
+        code, out, _ = run(capsys, command, "--graph", disc, "--s", "1")
+        assert code == 0 and out
+        code, out, err = run(capsys, command, "--graph", disc, "--s", "2")
+        assert code == 3 and out == "" and "requires a connected graph" in err
     code, _, _ = run(capsys, "pd", "--graph", disc)
     assert code == 3
     code, _, _ = run(capsys, "caterpillar", "--profile", "1", "--d", "2")

@@ -10,19 +10,18 @@ from homshift import (
     LabeledTree,
     PreconditionError,
     caterpillar_from_profile,
-    cycle_labeling_of,
     even_connected,
     even_connection_walk,
     graph_from_dict,
     graph_to_dict,
     is_bipartite,
     is_connected,
+    is_tree,
     spanning_paths_of_cycle,
     tree_distance_labeling,
     validate_lex_labeling,
 )
 from homshift.corpus import distance_labeled_trees
-from homshift.graphs import invert_permutation
 
 
 def path(n):
@@ -241,26 +240,13 @@ def test_spanning_paths_of_cycle():
     c3 = CycleLabeling(3)
     paths = spanning_paths_of_cycle(c3)
     assert len(paths) == 3
-    assert all(t.n == 3 for t, _ in paths)
+    assert all(p.n == 3 and is_tree(p) for p in paths)
     c4 = CycleLabeling(4)
     paths = spanning_paths_of_cycle(c4)
-    # path 1 omits edge {4, 1}
-    tree, perm = paths[0]
-    original = invert_permutation(perm)
-    original_edges = {
-        tuple(sorted((original[a - 1], original[b - 1]))) for a, b in tree.graph.edges
-    }
-    assert original_edges == {(1, 2), (2, 3), (3, 4)}
+    # path 1 omits edge {4, 1}, path 2 edge {1, 2}; both keep the cycle's labels
+    assert paths[0].edges == ((1, 2), (2, 3), (3, 4))
+    assert paths[1].edges == ((1, 4), (2, 3), (3, 4))
     assert len(spanning_paths_of_cycle(CycleLabeling(6))) == 6
-
-
-def test_cycle_labeling_of_recovers_cyclic_order():
-    g = Graph(5, [(1, 3), (3, 5), (5, 2), (2, 4), (4, 1)])
-    cyc, perm = cycle_labeling_of(g)
-    assert cyc.n == 5
-    # The permutation must send the edge set onto the canonical cycle.
-    mapped = {tuple(sorted((perm[a - 1], perm[b - 1]))) for a, b in g.edges}
-    assert mapped == set(cyc.graph.edges)
 
 
 def test_labeled_tree_invariants_enforced():

@@ -1,6 +1,9 @@
+from datetime import timedelta
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homshift import (
     CycleLabeling,
@@ -30,6 +33,7 @@ from homshift import (
     j_ideal,
     k_ideal,
     maximal_ideal,
+    pd_formula,
     pd_of_power,
     power_generators,
     power_set_map,
@@ -41,7 +45,7 @@ from homshift import (
     veronese_type,
 )
 from homshift.corpus import connected_graphs, distance_labeled_trees
-from homshift.graphs import invert_permutation, relabel_graph, validate_lex_labeling
+from homshift.graphs import relabel_graph, validate_lex_labeling
 
 
 def path(n):
@@ -50,6 +54,11 @@ def path(n):
 
 def ideal(n, *rows):
     return MonomialIdeal.from_exponents(n, rows)
+
+
+def read_back(ideal, perm):
+    """Generator exponents of an ideal on vertices renamed v -> perm[v-1], in the old names."""
+    return sorted(tuple(u.exps[p - 1] for p in perm) for u in ideal.gens)
 
 
 def test_hs_linear_quotients_examples():
@@ -84,67 +93,83 @@ def test_hs1_power_identity_examples():
 
 
 def test_hs_tree_formula_examples():
-    t, _ = tree_distance_labeling(path(4), 4)
+    t = path(4)
     assert hs_tree_formula(t, 1, 1) == ideal(4, (1, 1, 0, 1), (1, 0, 1, 1))
     assert hs_tree_formula(t, 2, 2) == ideal(4, (2, 1, 1, 2))
     expanded = hs_tree_formula(t, 1, 2)
-    sm = power_set_map(t.graph, 2)
+    sm = power_set_map(t, 2)
     assert expanded == hs_linear_quotients(sm, 1)
     with pytest.raises(PreconditionError):
         hs_tree_formula(t, 2, 1)
     with pytest.raises(PreconditionError):
         hs_tree_formula(t, 0, 1)
+    with pytest.raises(PreconditionError):
+        hs_tree_formula(CycleLabeling(4).graph, 1, 1)
 
 
 def test_hs_tree_formula_label_independent():
-    # Two different admissible labelings of the 5-vertex star-with-tail shape.
-    shape = Graph(5, [(1, 3), (2, 3), (3, 4), (4, 5)])
-    t1, perm1 = tree_distance_labeling(shape, 5)
-    shape2 = Graph(5, [(2, 3), (1, 3), (3, 4), (4, 5)])
-    t2, perm2 = tree_distance_labeling(shape2, 5)
-    for i, s in [(1, 1), (1, 2), (2, 2)]:
-        a = rename_variables(hs_tree_formula(t1, i, s), invert_permutation(perm1), 5)
-        b = rename_variables(hs_tree_formula(t2, i, s), invert_permutation(perm2), 5)
-        assert a == b
+    # Renaming the vertices of a tree and then evaluating the formula must give
+    # the formula's output on the tree, renamed.  Under these renamings the
+    # largest leaf is often another leaf of the tree, so the formula is rooted
+    # elsewhere.
+    perms = {5: (5, 3, 1, 2, 4), 6: (2, 6, 4, 1, 5, 3)}
+    rerooted = 0
+    for n, perm in perms.items():
+        for t in distance_labeled_trees(n):
+            moved = relabel_graph(t.graph, perm)
+            rerooted += max(v for v in moved.vertices() if moved.degree(v) == 1) != perm[n - 1]
+            for i, s in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]:
+                want = sorted(u.exps for u in hs_tree_formula(t.graph, i, s).gens)
+                assert read_back(hs_tree_formula(moved, i, s), perm) == want
+    assert rerooted == 17  # of the 19 trees
 
 
 def test_j_and_k_ideal_examples():
-    t, _ = tree_distance_labeling(path(4), 4)
+    t = path(4)
     assert j_ideal(t, 1) == ideal(4, (1, 0, 1, 1), (1, 1, 0, 1))
     assert k_ideal(t, 1) == ideal(4, (0, 1, 0, 0), (0, 0, 1, 0))
-    star, _ = tree_distance_labeling(Graph(4, [(3, 1), (3, 2), (3, 4)]), 1)
+    # Rooted at leaf 4, whose neighbor is 3: F runs over {1, 2}, both children of 3.
+    star = Graph(4, [(3, 1), (3, 2), (3, 4)])
     assert k_ideal(star, 1) == ideal(4, (0, 0, 1, 0))
     assert j_ideal(star, 1) == ideal(4, (1, 1, 0, 1))
     assert j_ideal(t, 0) == MonomialIdeal.unit(4)
     assert k_ideal(t, 0) == MonomialIdeal.unit(4)
     with pytest.raises(PreconditionError):
         j_ideal(t, 3)
+    with pytest.raises(PreconditionError):
+        j_ideal(t, -1)
+    with pytest.raises(PreconditionError):
+        k_ideal(CycleLabeling(4).graph, 1)
 
 
 def test_hs_cycle_formula_examples():
-    c4 = CycleLabeling(4)
-    assert hs_cycle_formula(c4, 1, 1) == hs1_formula(c4.graph)
+    c4 = CycleLabeling(4).graph
+    assert hs_cycle_formula(c4, 1, 1) == hs1_formula(c4)
     assert hs_cycle_formula(c4, 2, 1) == ideal(4, (1, 1, 1, 1))
-    c5 = CycleLabeling(5)
+    c5 = CycleLabeling(5).graph
     assert hs_cycle_formula(c5, 4, 2) == ideal(5, (2, 2, 2, 2, 2))
     with pytest.raises(PreconditionError):
         hs_cycle_formula(c4, 4, 2)
     with pytest.raises(PreconditionError):
         hs_cycle_formula(c5, 4, 1)
+    with pytest.raises(PreconditionError):
+        hs_cycle_formula(path(4), 1, 1)
 
 
 def test_hs_cycle_top_examples():
-    c5 = CycleLabeling(5)
+    c5 = CycleLabeling(5).graph
     assert hs_cycle_top(c5, 2) == ideal(5, (2, 2, 2, 2, 2))
-    c4 = CycleLabeling(4)
+    c4 = CycleLabeling(4).graph
     assert hs_cycle_top(c4, 1) == ideal(4, (1, 1, 1, 1))
-    c6 = CycleLabeling(6)
-    want = comp_power_ideal(c6.graph, 1).scaled(Monomial.uniform(6, 2))
+    c6 = CycleLabeling(6).graph
+    want = comp_power_ideal(c6, 1).scaled(Monomial.uniform(6, 2))
     assert hs_cycle_top(c6, 3) == want
-    sm = power_set_map(c6.graph, 3)
+    sm = power_set_map(c6, 3)
     assert want == hs_linear_quotients(sm, 4)
     with pytest.raises(PreconditionError):
         hs_cycle_top(c5, 1)
+    with pytest.raises(PreconditionError):
+        hs_cycle_top(path(5), 2)
 
 
 def test_hs_power_vanishing_matches_pd():
@@ -188,9 +213,9 @@ def test_maximal_identity_examples():
 def test_veronese_structure_examples():
     t, _ = tree_distance_labeling(path(4), 4)
     assert veronese_structure_check(t, 1)
-    assert k_ideal(t, 1) == veronese_type(VeroneseSpec((0, 1, 1, 0), 1))
+    assert k_ideal(t.graph, 1) == veronese_type(VeroneseSpec((0, 1, 1, 0), 1))
     star5, _ = tree_distance_labeling(Graph(5, [(4, 1), (4, 2), (4, 3), (4, 5)]), 1)
-    assert k_ideal(star5, 1) == ideal(5, (0, 0, 0, 1, 0))
+    assert k_ideal(star5.graph, 1) == ideal(5, (0, 0, 0, 1, 0))
     assert veronese_structure_check(star5, 1)
     for n in range(3, 7):
         for t in distance_labeled_trees(n):
@@ -215,7 +240,7 @@ def test_caterpillar_realization_against_linear_quotients():
     for caps, d in [((2, 1), 1), ((1, 2), 2), ((3,), 1)]:
         t = caterpillar_from_profile(caps)
         i = sum(caps) - d
-        assert hs_tree_formula(t, i, i) == hs_power(t.graph, i, i)
+        assert hs_tree_formula(t.graph, i, i) == hs_power(t.graph, i, i)
 
 
 def test_rees_containment_examples():
@@ -315,11 +340,9 @@ def test_spanning_path_shift_sum_is_first_component():
                 continue
             for s in (i, i + 1):
                 total = MonomialIdeal.zero(n)
-                for lt, perm in spanning_paths_of_cycle(c):
-                    back = rename_variables(
-                        hs_tree_formula(lt, i, s), invert_permutation(perm), n
-                    )
-                    total = total + back
+                # Each path is rooted at its own largest leaf, in the cycle's labels.
+                for p in spanning_paths_of_cycle(c):
+                    total = total + hs_tree_formula(p, i, s)
                 alpha_i = Monomial.uniform(n, i)
                 P = comp_power_ideal(c.graph, s - i)
                 gens = []
@@ -334,3 +357,28 @@ def test_hs1_routes_agree_on_connected_corpus():
         for g in connected_graphs(n):
             I = comp_edge_ideal(g)
             assert hs1_formula(g) == hs1_via_lcm(I) == hs_power(g, 1, 1)
+
+
+@st.composite
+def named_trees_and_cycles(draw):
+    """A random tree or cycle on 8 to 10 vertices under random vertex names."""
+    n = draw(st.integers(8, 10))
+    names = draw(st.permutations(range(1, n + 1)))
+    if draw(st.booleans()):
+        # Each vertex after the first hangs off an earlier one.
+        edges = [(names[k], names[draw(st.integers(0, k - 1))]) for k in range(1, n)]
+    else:
+        edges = [(names[k], names[(k + 1) % n]) for k in range(n)]
+    return Graph(n, edges)
+
+
+@settings(derandomize=True, max_examples=25, deadline=timedelta(seconds=5), database=None)
+@given(named_trees_and_cycles())
+def test_closed_forms_match_linear_quotients_in_any_labels(g):
+    for s in (1, 2, 3):
+        pd = pd_of_power(g, s)
+        assert pd == pd_formula(g, s)
+        for i in range(pd + 2):
+            form = hs_closed_form(g, i, s)
+            if form is not None:
+                assert form == hs_power(g, i, s)
