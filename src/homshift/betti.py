@@ -29,15 +29,12 @@ from itertools import combinations, compress
 import numpy as np
 
 from .errors import OracleCapError
-from .monomials import Monomial, MonomialIdeal
+from .monomials import _JOIN_BLOCK, Monomial, MonomialIdeal, _exponent_matrix, _row_keys
 
 DEFAULT_PRIME = 2**31 - 1
 
 DEFAULT_GEN_CAP = 60
 DEFAULT_LATTICE_CAP = 100_000
-
-# Entries in one block of frontier-generator joins (8 MiB of int64).
-_JOIN_BLOCK = 1 << 20
 
 
 class SimplicialComplex:
@@ -174,12 +171,6 @@ def reduced_homology_rank(c: SimplicialComplex, i: int, field: int = 0) -> int:
     return _reduced_homology(c, field).get(i, 0)
 
 
-def _exponent_matrix(ideal: MonomialIdeal) -> np.ndarray:
-    """The generators' exponent vectors as the rows of an integer matrix."""
-    rows = [g.exps for g in ideal.gens]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), ideal.n)
-
-
 def _koszul_complex(gens: np.ndarray, a: Monomial) -> SimplicialComplex:
     """K^a from the generator rows: each u dividing x^a gives the facet {p : u_p < a_p}."""
     exps = np.array(a.exps, dtype=np.int64)
@@ -197,13 +188,7 @@ def upper_koszul(ideal: MonomialIdeal, a: Monomial) -> SimplicialComplex:
     """
     if a.n != ideal.n:
         raise ValueError("ambient variable counts differ")
-    return _koszul_complex(_exponent_matrix(ideal), a)
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque key per row (its bytes); two keys are equal exactly when the rows are."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    return _koszul_complex(_exponent_matrix(ideal.gens, ideal.n), a)
 
 
 def lcm_lattice(
@@ -227,7 +212,7 @@ def lcm_lattice(
     if ideal.n == 0:
         # (0) or (1): its own lattice, and rows without bytes have no key.
         return list(ideal.gens)
-    gens = _exponent_matrix(ideal)
+    gens = _exponent_matrix(ideal.gens, ideal.n)
     found, seen, frontier = [gens], _row_keys(gens), gens
     step = max(1, _JOIN_BLOCK // max(gens.size, 1))
     while len(frontier):
@@ -287,7 +272,7 @@ def betti_table(
         return cached
     entries: dict = {}
     lattice = lcm_lattice(ideal, gen_cap, size_cap)
-    gens = _exponent_matrix(ideal)
+    gens = _exponent_matrix(ideal.gens, ideal.n)
     for a in lattice:
         for d, h in _reduced_homology(_koszul_complex(gens, a), field).items():
             entries[(d + 1, a.exps)] = h

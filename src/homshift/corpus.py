@@ -38,14 +38,12 @@ from .graphs import (
 )
 from .monomials import VeroneseSpec, veronese_type
 from .shifts import (
+    _veronese_structure,
     caterpillar_realization,
     check_hs_maximal_identity,
     hs_cycle_formula,
     hs_linear_quotients,
     hs_tree_formula,
-    j_ideal,
-    k_ideal,
-    veronese_structure_check,
 )
 
 
@@ -159,14 +157,8 @@ def check_maximal_identity(g: Graph, i: int) -> dict:
 
 def check_veronese(t: LabeledTree, i: int) -> dict:
     """The blocks J_i, K_i of the tree shifts have the Veronese-type structure."""
-    return _record(
-        "veronese",
-        t,
-        {"i": i},
-        veronese_structure_check(t, i),
-        j_ideal(t.graph, i).num_gens(),
-        k_ideal(t.graph, i).num_gens(),
-    )
+    verdict, j, k = _veronese_structure(t, i)
+    return _record("veronese", t, {"i": i}, verdict, j.num_gens(), k.num_gens())
 
 
 def check_caterpillar(spec: VeroneseSpec) -> dict:

@@ -11,9 +11,11 @@ in its own labels: the variable order is descending lex under the
 permutation of ``lex_labeled_copy(g)``, which is x1 > ... > xn when the
 labels are already suffix-connected.  Powers are enumerated once per
 edge multiset, keeping one Factorization per monomial.  Set maps come from
-a hash lookup of (u / x_k) * x_j among the earlier generators, and a
-vectorized numpy check then confirms that every colon is generated by
-those variables.
+a hash lookup of (u / x_k) * x_j among the earlier generators.  Row
+bitsets then confirm that every colon is generated by those variables:
+per variable j and exponent e, one Python int marks the generators
+exceeding e in x_j, built once per set map with ``np.packbits``, so each
+generator's check is a few integer ORs.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .graphs import (
     is_tree,
     lex_labeled_copy,
 )
-from .monomials import Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal, _exponent_matrix
 
 
 def comp_edge_ideal(g: Graph) -> MonomialIdeal:
@@ -121,6 +123,21 @@ class SetMap:
         return zip(self.gens, self.sets)
 
 
+def _above_bitsets(rows: np.ndarray) -> list[dict[int, int]]:
+    """Per column j and value e of that column, the rows t with rows[t, j] > e as an int.
+
+    Bit t of ``above[j][e]`` is set when rows[t, j] > e.  Keys are the
+    distinct values of each column, so the bitsets take at most
+    n * (distinct values per column) * N bits for N rows in n columns.
+    """
+    above = []
+    for col in rows.T:
+        values = sorted(set(col.tolist()))
+        bits = np.packbits(col[None, :] > np.array(values)[:, None], axis=1, bitorder="little")
+        above.append({e: int.from_bytes(b.tobytes(), "little") for e, b in zip(values, bits)})
+    return above
+
+
 def set_map_colon(ordered: Iterable[Monomial]) -> SetMap:
     """Compute set(u) for each generator from the successive colon ideals.
 
@@ -131,8 +148,13 @@ def set_map_colon(ordered: Iterable[Monomial]) -> SetMap:
 
     Verifies the linear-quotients property along the way: each colon
     (u_1, ..., u_{i-1}) : (u_i) must be generated by variables, i.e. every
-    quotient u_t / gcd(u_t, u_i) must be divisible by some variable that
-    itself lies in the colon.  Raises NotLinearQuotientsError otherwise.
+    earlier u_t must exceed u_i in some variable of set(u_i).  Row bitsets
+    built once per call decide this for all t < i at once: ``above[j][e]``
+    has bit t set when u_t[j] > e, and row i passes when the OR of
+    ``above[j][u_i[j]]`` over j in set(u_i) covers bits 0..i-1.  The
+    bitsets take at most n * (distinct values per column) * N bits for N
+    generators in n variables.  Raises NotLinearQuotientsError at the
+    first row that fails.
     """
     gens = tuple(ordered)
     if len({g.exps for g in gens}) != len(gens):
@@ -142,8 +164,7 @@ def set_map_colon(ordered: Iterable[Monomial]) -> SetMap:
     if len({sum(g.exps) for g in gens}) != 1:
         raise PreconditionError("set_map_colon needs generators of a single degree")
     n = gens[0].n
-    # Column-major copy: the check below reads a few variables over a prefix of rows.
-    cols_by_var = np.array([g.exps for g in gens], dtype=np.int32).T.copy()
+    above = _above_bitsets(_exponent_matrix(gens, n))
     # below[w] has bit j set when w * x_j is an earlier generator.
     below: dict[tuple[int, ...], int] = {}
     sets: list[frozenset[int]] = []
@@ -155,10 +176,11 @@ def set_map_colon(ordered: Iterable[Monomial]) -> SetMap:
             mask |= below.get(w, 0)
         found = [j for j in range(n) if mask >> j & 1]
         # Linear quotients: every earlier u_t exceeds u in some variable of set(u).
-        if i and (
-            not found
-            or not (cols_by_var[found, :i] > cols_by_var[found, i : i + 1]).any(axis=0).all()
-        ):
+        covered = 0
+        for j in found:
+            covered |= above[j][u[j]]
+        earlier = (1 << i) - 1
+        if covered & earlier != earlier:
             raise NotLinearQuotientsError(i, g)
         sets.append(frozenset(j + 1 for j in found))
         for w, k in drops:

@@ -390,7 +390,7 @@ def graph_from_dict(data: dict) -> tuple[Graph, str | None]:
     """Parse the {"n": ..., "edges": [[i, j], ...]} format with optional kind hint.
 
     A "tree" or "cycle" kind is validated against the actual structure;
-    "cycle" additionally requires the cyclic labeling 1-2-...-n-1.
+    a cycle may come in any vertex labels.
     """
     if not isinstance(data, dict):
         raise InputFormatError("graph document must be a JSON object")
@@ -414,10 +414,8 @@ def graph_from_dict(data: dict) -> tuple[Graph, str | None]:
             if not is_tree(g):
                 raise InputFormatError("graph is declared a tree but is not one")
         elif kind == "cycle":
-            if g.n < 3 or g != CycleLabeling(g.n).graph:
-                raise InputFormatError(
-                    "graph is declared a cycle but is not the cyclically labeled n-cycle"
-                )
+            if not is_cycle_graph(g):
+                raise InputFormatError("graph is declared a cycle but is not one")
         else:
             raise InputFormatError(f"unknown graph kind {kind!r}")
     return g, kind

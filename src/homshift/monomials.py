@@ -4,13 +4,23 @@ Monomials are dense exponent vectors over a fixed number of variables.
 Ideals always carry their unique minimal generating set, sorted in
 descending lexicographic order with x1 > x2 > ... > xn, so ideal equality
 is a plain comparison of generator lists.
+
+Sums and products of ideals run on int64 exponent matrices: byte keys of
+whole rows drop duplicates, ``np.lexsort`` orders the rows, and mixed
+degrees are then minimalized.  Any exponent or degree that would pass
+int64 raises OverflowError instead of wrapping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
+
+# Entries in one block of broadcast row operations (8 MiB of int64).
+_JOIN_BLOCK = 1 << 20
 
 
 class Monomial:
@@ -23,6 +33,15 @@ class Monomial:
         if exps and min(exps) < 0:
             raise ValueError(f"negative exponent in {exps}")
         object.__setattr__(self, "exps", exps)
+
+    @classmethod
+    def _wrap_all(cls, rows: list[tuple[int, ...]]) -> tuple["Monomial", ...]:
+        """One Monomial per tuple of non-negative Python ints, without re-validating them."""
+        out = list(map(cls.__new__, repeat(cls, len(rows))))
+        # Assigning through the slot descriptor skips a Python frame per monomial.
+        for _ in map(_EXPS_SLOT, out, rows):
+            pass
+        return tuple(out)
 
     @classmethod
     def one(cls, n: int) -> "Monomial":
@@ -113,6 +132,9 @@ class Monomial:
         return "*".join(parts)
 
 
+_EXPS_SLOT = Monomial.exps.__set__
+
+
 def _minimalize_tuples(n: int, tuples: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Minimal elements under divisibility, sorted in descending lex order."""
     distinct = set(tuples)
@@ -138,6 +160,78 @@ def _minimalize_tuples(n: int, tuples: Iterable[tuple[int, ...]]) -> list[tuple[
     return sorted(kept, reverse=True)
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _exponent_matrix(gens: Sequence[Monomial], n: int) -> np.ndarray:
+    """The exponent vectors of ``gens`` as the rows of an int64 matrix with n columns.
+
+    An exponent past int64 raises OverflowError.
+    """
+    return np.array([g.exps for g in gens], dtype=np.int64).reshape(len(gens), n)
+
+
+def _check_int64(n: int, largest: int) -> None:
+    """Refuse a kernel whose entries may reach ``largest``: n * largest bounds every degree."""
+    if max(n, 1) * largest > _INT64_MAX:
+        raise OverflowError(f"exponents up to {largest} in {n} variables pass the int64 range")
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row (its bytes); two keys are equal exactly when the rows are."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _lex_keys(rows: np.ndarray) -> list[np.ndarray]:
+    """Sort keys of a non-negative exponent matrix, most significant first.
+
+    Runs of consecutive columns are packed into one int64 each, as digits
+    of base (largest entry + 1), so comparing the keys in turn compares
+    the rows lexicographically with fewer passes than one per column.
+    """
+    n = rows.shape[1]
+    base = int(rows.max(initial=0)) + 1
+    width = 1
+    while width < n and base ** (width + 1) <= _INT64_MAX:
+        width += 1
+    if width == 1:
+        return list(rows.T)
+    keys = []
+    for start in range(0, n, width):
+        block = rows[:, start : start + width]
+        digits = np.array([base**p for p in reversed(range(block.shape[1]))], dtype=np.int64)
+        keys.append(block @ digits)
+    return keys
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of an exponent matrix, in descending lex order."""
+    if not rows.shape[1]:
+        # The only monomial in no variables is 1, and its row has no bytes to key.
+        return rows[:1]
+    rows = rows[np.lexsort(_lex_keys(rows)[::-1])[::-1]]
+    keys = _row_keys(rows)
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return rows[keep]
+
+
+def _ideal_from_rows(n: int, rows: np.ndarray) -> "MonomialIdeal":
+    """The ideal generated by the rows of an int64 exponent matrix.
+
+    Equal-degree rows only need deduplication and ordering; mixed degrees
+    go through ``_minimalize_tuples``.  One Monomial is built per kept row.
+    """
+    rows = _distinct_rows(rows)
+    # Columns to tuples: no list per row; with no columns, each row is the tuple ().
+    tuples = list(zip(*rows.T.tolist())) if n else [()] * len(rows)
+    degrees = rows.sum(axis=1)
+    if len(rows) and (degrees != degrees[0]).any():
+        tuples = _minimalize_tuples(n, tuples)
+    return MonomialIdeal._canonical(n, Monomial._wrap_all(tuples))
+
+
 class MonomialIdeal:
     """A monomial ideal, held as its canonical minimal generating set.
 
@@ -159,6 +253,14 @@ class MonomialIdeal:
         object.__setattr__(
             self, "gens", tuple(by_exps[t] for t in _minimalize_tuples(n, by_exps))
         )
+
+    @classmethod
+    def _canonical(cls, n: int, gens: tuple[Monomial, ...]) -> "MonomialIdeal":
+        """Wrap generators that are already minimal, distinct and in descending lex order."""
+        ideal = cls.__new__(cls)
+        object.__setattr__(ideal, "n", n)
+        object.__setattr__(ideal, "gens", gens)
+        return ideal
 
     @classmethod
     def zero(cls, n: int) -> "MonomialIdeal":
@@ -206,19 +308,30 @@ class MonomialIdeal:
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.n != other.n:
             raise ValueError("ambient variable counts differ")
-        return MonomialIdeal(self.n, self.gens + other.gens)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        rows = _exponent_matrix(self.gens + other.gens, self.n)
+        _check_int64(self.n, int(rows.max(initial=0)))
+        return _ideal_from_rows(self.n, rows)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
+        """All pairwise products, one broadcast sum per block of ``_JOIN_BLOCK`` entries."""
         if self.n != other.n:
             raise ValueError("ambient variable counts differ")
         if self.is_zero() or other.is_zero():
             return MonomialIdeal.zero(self.n)
-        prods = {
-            tuple(a + b for a, b in zip(u.exps, v.exps))
-            for u in self.gens
-            for v in other.gens
-        }
-        return MonomialIdeal.from_exponents(self.n, prods)
+        a = _exponent_matrix(self.gens, self.n)
+        b = _exponent_matrix(other.gens, other.n)
+        _check_int64(self.n, int(a.max(initial=0)) + int(b.max(initial=0)))
+        step = max(1, _JOIN_BLOCK // max(b.size, 1))
+        blocks = []
+        for k in range(0, len(a), step):
+            block = a[k : k + step]
+            sums = block[:, None, :] + b[None, :, :]
+            blocks.append(_distinct_rows(sums.reshape(len(block) * len(b), self.n)))
+        return _ideal_from_rows(self.n, np.concatenate(blocks))
 
     def scaled(self, m: Monomial) -> "MonomialIdeal":
         """The ideal m * I."""

@@ -25,6 +25,8 @@ from functools import lru_cache
 from itertools import accumulate, combinations
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .betti import hs_oracle
 from .edge_ideals import (
     SetMap,
@@ -46,6 +48,9 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     VeroneseSpec,
+    _check_int64,
+    _exponent_matrix,
+    _ideal_from_rows,
     divide_out,
     has_strong_exchange,
     maximal_ideal,
@@ -56,22 +61,32 @@ from .monomials import (
 
 
 def hs_linear_quotients(sm: SetMap, i: int) -> MonomialIdeal:
-    """HS_i from a linear-quotients set map: all x_F * u with F in set(u)."""
+    """HS_i from a linear-quotients set map: all x_F * u with F in set(u).
+
+    Generators are grouped by |set(u)|; each class adds its one-hot x_F
+    rows to the repeated exponent rows by one fancy-indexed update.
+    """
     n = sm.n
     if i < 0:
         return MonomialIdeal.zero(n)
     if i == 0:
         return MonomialIdeal(n, sm.gens)
-    gens = []
-    for u, su in sm.items():
-        if len(su) < i:
-            continue
-        for F in combinations(sorted(su), i):
-            exps = list(u.exps)
-            for v in F:
-                exps[v - 1] += 1
-            gens.append(Monomial(exps))
-    return MonomialIdeal(n, gens)
+    gens = _exponent_matrix(sm.gens, n)
+    _check_int64(n, int(gens.max(initial=0)) + 1)
+    sizes = np.array([len(su) for su in sm.sets], dtype=np.int64)
+    blocks = []
+    for c in sorted(set(sizes[sizes >= i].tolist())):
+        members = np.flatnonzero(sizes == c)
+        sets = np.array([tuple(sm.sets[k]) for k in members.tolist()], dtype=np.intp) - 1
+        combos = list(combinations(range(c), i))
+        # Row r * len(combos) + f gets x_F for F the f-th i-subset of set(u_r).
+        picks = sets[:, combos].reshape(-1, i)
+        rows = np.repeat(gens[members], len(combos), axis=0)
+        rows[np.arange(len(rows))[:, None], picks] += 1
+        blocks.append(rows)
+    if not blocks:
+        return MonomialIdeal.zero(n)
+    return _ideal_from_rows(n, np.concatenate(blocks))
 
 
 @lru_cache(maxsize=None)
@@ -118,20 +133,26 @@ def hs1_power_identity_check(g: Graph, s: int) -> bool:
     return lhs == rhs
 
 
-def _parent_counts(t: Graph, i: int) -> list[list[int]]:
-    """Exponents of prod_{k in F} x_phi(k) over the i-subsets F of the tree's non-root vertices.
+def _tree_parents(t: Graph, *indices: int) -> dict[int, int]:
+    """phi(k) for every non-root vertex k of a tree, once the block indices are checked.
 
-    The root is the largest leaf r; F avoids r and its neighbor, and phi(k)
-    is the neighbor of k one step closer to r.
+    The root is the largest leaf r; the non-root vertices are all but r
+    and its neighbor, and phi(k) is the neighbor of k one step closer to
+    r.  Every index must lie in [0, n - 2].
     """
     if not is_tree(t):
         raise PreconditionError("the tree formulas require a tree")
     n = t.n
-    if i < 0 or i > n - 2:
-        raise PreconditionError(f"index {i} outside [0, {n - 2}]")
+    for i in indices:
+        if i < 0 or i > n - 2:
+            raise PreconditionError(f"index {i} outside [0, {n - 2}]")
     dist = _distances_from(t, max(v for v in t.vertices() if t.degree(v) == 1))
     # Each child of a vertex other than r: every vertex two or more steps from r.
-    parent = {k: v for v in dist if dist[v] for k in t.neighbors(v) if dist[k] > dist[v]}
+    return {k: v for v in dist if dist[v] for k in t.neighbors(v) if dist[k] > dist[v]}
+
+
+def _parent_counts(parent: dict[int, int], n: int, i: int) -> list[list[int]]:
+    """Exponents of prod_{k in F} x_phi(k) over the i-subsets F of phi's domain."""
     rows = []
     for F in combinations(sorted(parent), i):
         exps = [0] * n
@@ -141,14 +162,23 @@ def _parent_counts(t: Graph, i: int) -> list[list[int]]:
     return rows
 
 
+def _j_block(parent: dict[int, int], n: int, i: int) -> MonomialIdeal:
+    rows = _parent_counts(parent, n, i)
+    return MonomialIdeal.from_exponents(n, ([i - e for e in row] for row in rows))
+
+
+def _k_block(parent: dict[int, int], n: int, i: int) -> MonomialIdeal:
+    return MonomialIdeal.from_exponents(n, _parent_counts(parent, n, i))
+
+
 def j_ideal(t: Graph, i: int) -> MonomialIdeal:
     """The ideal of alpha^i / prod_{k in F} x_phi(k) over i-subsets F of the non-root vertices."""
-    return MonomialIdeal.from_exponents(t.n, ([i - e for e in row] for row in _parent_counts(t, i)))
+    return _j_block(_tree_parents(t, i), t.n, i)
 
 
 def k_ideal(t: Graph, i: int) -> MonomialIdeal:
     """The ideal of prod_{k in F} x_phi(k) over i-subsets F of the non-root vertices; K_0 = S."""
-    return MonomialIdeal.from_exponents(t.n, _parent_counts(t, i))
+    return _k_block(_tree_parents(t, i), t.n, i)
 
 
 def hs_tree_formula(t: Graph, i: int, s: int) -> MonomialIdeal:
@@ -233,19 +263,28 @@ def veronese_structure_check(t: LabeledTree, i: int) -> bool:
     x^b * J_i = alpha^i * K_{n-2-i} holds, and (iii) J_i has the strong
     exchange property.
     """
+    return _veronese_structure(t, i)[0]
+
+
+def _veronese_structure(t: LabeledTree, i: int) -> tuple[bool, MonomialIdeal, MonomialIdeal]:
+    """The verdict of ``veronese_structure_check`` and the blocks J_i, K_i it checked.
+
+    All three blocks come from one parent map of the tree.
+    """
     n = t.n
     if not 1 <= i <= n - 2:
         raise PreconditionError(f"index {i} outside [1, {n - 2}]")
     b = [0] * n
     for j in range(1, n - 1):
         b[t.phi(j) - 1] += 1
-    j = j_ideal(t.graph, i)
-    ok_veronese = k_ideal(t.graph, i) == veronese_type(VeroneseSpec(tuple(b), i))
+    parent = _tree_parents(t.graph, i, n - 2 - i)
+    j, k = _j_block(parent, n, i), _k_block(parent, n, i)
+    ok_veronese = k == veronese_type(VeroneseSpec(tuple(b), i))
     lhs = j.scaled(Monomial(b))
-    rhs = k_ideal(t.graph, n - 2 - i).scaled(Monomial.uniform(n, i))
+    rhs = _k_block(parent, n, n - 2 - i).scaled(Monomial.uniform(n, i))
     ok_cleared = lhs == rhs
     ok_exchange = has_strong_exchange(j)
-    return ok_veronese and ok_cleared and ok_exchange
+    return ok_veronese and ok_cleared and ok_exchange, j, k
 
 
 def _embed_veronese(spec: VeroneseSpec, t: LabeledTree) -> MonomialIdeal:
@@ -346,7 +385,9 @@ def hs_closed_form(g: Graph, i: int, s: int) -> MonomialIdeal | None:
 
     Returns None when g is neither a tree nor a cycle, or when (i, s) sits
     outside the proven range of the respective formula; callers fall back
-    to hs_power in that case.  i = 0 always returns the power itself.
+    to hs_power in that case.  i = 0 always returns the power itself.  A
+    positive power of a graph without edges raises PreconditionError, as
+    in hs_power.
     """
     if s < 0:
         return MonomialIdeal.zero(g.n)
@@ -354,6 +395,8 @@ def hs_closed_form(g: Graph, i: int, s: int) -> MonomialIdeal | None:
         return comp_power_ideal(g, s)
     if s == 0:
         return MonomialIdeal.zero(g.n)
+    if not g.edges:
+        raise PreconditionError("power generators need at least one edge")
     if is_tree(g):
         return hs_tree_formula(g, i, s) if 1 <= i <= s else None
     if is_cycle_graph(g):

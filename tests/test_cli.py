@@ -148,6 +148,14 @@ def test_hs_command(capsys, p4, c4):
     assert code == 0 and "agrees" in err
 
 
+def test_cycle_kind_accepts_any_labels(capsys, tmp_path):
+    # The cycle 1-3-2-4-1: declared a cycle, it is checked as one in its own labels.
+    doc = {"n": 4, "edges": [[1, 3], [3, 2], [2, 4], [4, 1]], "kind": "cycle"}
+    c4 = write_graph(tmp_path, "c4-relabeled.json", doc)
+    code, out, err = run(capsys, "hs", "--graph", c4, "--i", "2", "--s", "1", "--closed-form")
+    assert code == 0 and out and "closed form agrees" in err
+
+
 def test_setmap_command(capsys, c4):
     code, out, _ = run(capsys, "setmap", "--graph", c4, "--format", "json")
     assert code == 0

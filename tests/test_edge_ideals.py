@@ -1,7 +1,10 @@
-from itertools import combinations_with_replacement
+from datetime import timedelta
+from itertools import combinations_with_replacement, product
 from math import comb, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homshift import (
     CycleLabeling,
@@ -151,6 +154,36 @@ def test_set_map_colon_check_rejects_nonempty_set():
 def test_set_map_colon_rejects_mixed_degrees():
     with pytest.raises(PreconditionError):
         set_map_colon([Monomial((1, 1, 0)), Monomial((0, 0, 1))])
+
+
+@st.composite
+def equal_degree_orders(draw):
+    """Distinct monomials of one degree in n <= 5 variables, in a random order."""
+    n = draw(st.integers(0, 5))
+    d = draw(st.integers(1, 3)) if n else 0
+    monomials = [e for e in product(range(d + 1), repeat=n) if sum(e) == d]
+    rows = draw(st.lists(st.sampled_from(monomials), unique=True, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        rows.sort(reverse=True)  # descending lex has linear quotients more often
+    return n, [Monomial(r) for r in rows]
+
+
+@settings(derandomize=True, max_examples=250, deadline=timedelta(seconds=2), database=None)
+@given(equal_degree_orders())
+def test_set_map_colon_matches_brute_force_colons(case):
+    # Each colon (u_1, ..., u_{i-1}) : u_i comes from MonomialIdeal.colon, not from the bitsets.
+    n, gens = case
+    expected = []
+    for i, u in enumerate(gens):
+        colon = MonomialIdeal(n, gens[:i]).colon(u)
+        if any(g.degree() != 1 for g in colon.gens):
+            with pytest.raises(NotLinearQuotientsError) as err:
+                set_map_colon(gens)
+            assert err.value.index == i
+            return
+        expected.append(frozenset(v for g in colon.gens for v in g.support()))
+    sm = set_map_colon(gens)
+    assert sm.gens == tuple(gens) and sm.sets == tuple(expected)
 
 
 def test_set_map_matches_generic_colon():

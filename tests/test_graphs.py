@@ -267,10 +267,15 @@ def test_graph_json_round_trip_and_kinds():
     assert g2 == g and kind is None
     _, kind = graph_from_dict({"n": 3, "edges": [[1, 2], [2, 3], [1, 3]], "kind": "cycle"})
     assert kind == "cycle"
+    _, kind = graph_from_dict({"n": 4, "edges": [[1, 3], [3, 2], [2, 4], [4, 1]], "kind": "cycle"})
+    assert kind == "cycle"
     from homshift import InputFormatError
 
     with pytest.raises(InputFormatError):
         graph_from_dict({"n": 4, "edges": [[1, 2]], "kind": "cycle"})
+    two_triangles = [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]]
+    with pytest.raises(InputFormatError):
+        graph_from_dict({"n": 6, "edges": two_triangles, "kind": "cycle"})
     with pytest.raises(InputFormatError):
         graph_from_dict({"n": 3, "edges": [[1, 2], [2, 3], [1, 3]], "kind": "tree"})
     with pytest.raises(InputFormatError):

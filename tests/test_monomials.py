@@ -1,8 +1,17 @@
-import pytest
+from datetime import timedelta
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import homshift.monomials
 from homshift import (
     Monomial,
     MonomialIdeal,
+    SetMap,
+    comp_power_ideal,
+    hs_linear_quotients,
     VeroneseSpec,
     divide_out,
     has_strong_exchange,
@@ -11,6 +20,7 @@ from homshift import (
     squarefree_power_of_maximal,
     veronese_type,
 )
+from homshift.corpus import connected_graphs
 from homshift.graphs import invert_permutation
 from homshift.monomials import exchange_violation
 
@@ -215,3 +225,121 @@ def test_rename_variables():
     for bad in ((2, 2, 5), (2, 4, 6), (2, 4)):
         with pytest.raises(ValueError):
             rename_variables(J, bad, 5)
+
+
+# ---------------------------------------------------------------------------
+# the matrix kernels (*, + and HS_i) against their definitions
+# ---------------------------------------------------------------------------
+
+
+def brute_minimal(rows):
+    """Rows no other row divides, in descending lex order."""
+    rows = set(rows)
+    divides = lambda s, r: s != r and all(a <= b for a, b in zip(s, r))
+    return sorted((r for r in rows if not any(divides(s, r) for s in rows)), reverse=True)
+
+
+def exps_of(ideal):
+    # Python ints only: a numpy scalar would hash and print like one but is not one.
+    assert all(type(e) is int for g in ideal.gens for e in g.exps)
+    return [g.exps for g in ideal.gens]
+
+
+KERNEL_PROPERTY = settings(
+    derandomize=True, max_examples=200, deadline=timedelta(seconds=2), database=None
+)
+
+
+@st.composite
+def row_lists(draw):
+    """n <= 5 and two lists of exponent rows; empty lists are zero ideals.
+
+    Exponents are small, or mixed with values near 2^20 and 2^40 so that
+    lex order needs several packed sort keys, or one key per column.  In
+    the third kind every row permutes one tuple, so all degrees agree and
+    the minimalization pass, which sorts again, is skipped.
+    """
+    n = draw(st.integers(0, 5))
+    large = st.sampled_from((0, 1, 3, 2**20, 2**20 + 1, 2**40))
+    kind = draw(st.sampled_from(("small", "large", "one degree")))
+    if kind == "small":
+        row = st.tuples(*[st.integers(0, 3)] * n)
+    elif kind == "large":
+        row = st.tuples(*[large] * n)
+    else:
+        row = st.permutations(draw(st.tuples(*[large] * n))).map(tuple)
+    return n, draw(st.lists(row, max_size=6)), draw(st.lists(row, max_size=6))
+
+
+@KERNEL_PROPERTY
+@given(row_lists())
+def test_ideal_sum_and_product_match_definitions(case):
+    n, rows_a, rows_b = case
+    I, J = MonomialIdeal.from_exponents(n, rows_a), MonomialIdeal.from_exponents(n, rows_b)
+    sums = [tuple(a + b for a, b in zip(u, v)) for u in rows_a for v in rows_b]
+    assert exps_of(I * J) == brute_minimal(sums)
+    assert exps_of(I + J) == brute_minimal(rows_a + rows_b)
+
+
+@st.composite
+def set_maps(draw):
+    """Distinct generators of mixed degrees with arbitrary sets, and an index i."""
+    n = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), unique=True, max_size=6))
+    variables = st.sets(st.integers(1, n)) if n else st.just(set())
+    sets = [frozenset(draw(variables)) for _ in rows]
+    i = draw(st.integers(-1, n + 1))
+    return SetMap(tuple(Monomial(r) for r in rows), tuple(sets)), i
+
+
+@KERNEL_PROPERTY
+@given(set_maps())
+def test_hs_linear_quotients_matches_definition(case):
+    sm, i = case
+    candidates = [
+        tuple(e + (v + 1 in F) for v, e in enumerate(u.exps))
+        for u, su in sm.items()
+        for F in combinations(sorted(su), i)
+    ] if i >= 0 else []
+    assert exps_of(hs_linear_quotients(sm, i)) == brute_minimal(candidates)
+
+
+def test_kernels_on_zero_unit_and_no_variables():
+    for n in (0, 1, 3):
+        zero, unit = MonomialIdeal.zero(n), MonomialIdeal.unit(n)
+        assert zero * unit == unit * zero == zero * zero == zero
+        assert unit * unit == unit + zero == zero + unit == unit + unit == unit
+        assert zero + zero == zero
+        units = SetMap((Monomial.one(n),), (frozenset(range(1, n + 1)),))
+        for i in range(n + 1):
+            assert hs_linear_quotients(units, i) == squarefree_power_of_maximal(n, i)
+        assert hs_linear_quotients(units, n + 1) == zero
+    I = ideal(2, (1, 0), (0, 2))
+    assert I * MonomialIdeal.unit(2) == I == I + MonomialIdeal.zero(2)
+    assert I + MonomialIdeal.unit(2) == MonomialIdeal.unit(2)
+
+
+def test_kernels_refuse_int64_overflow():
+    top = 2**63 - 1
+    half = ideal(1, (2**62,))
+    assert exps_of(half * ideal(1, (2**62 - 1,))) == [(top,)]
+    with pytest.raises(OverflowError):
+        half * half  # 2^63 does not fit
+    with pytest.raises(OverflowError):
+        ideal(1, (2**63,)) + ideal(1, (1,))
+    # Each exponent fits, but the degree 2^63 would not.
+    with pytest.raises(OverflowError):
+        ideal(2, (2**62, 2**62)) + ideal(2, (1, 0))
+    assert exps_of(hs_linear_quotients(SetMap((mono(top - 1),), (frozenset({1}),)), 1)) == [
+        (top,)
+    ]
+    with pytest.raises(OverflowError):
+        hs_linear_quotients(SetMap((mono(top),), (frozenset({1}),)), 1)
+
+
+def test_product_independent_of_blocks(monkeypatch):
+    ideals = [comp_power_ideal(g, 2) for g in connected_graphs(5)[:6]]
+    products = [I * J for I in ideals for J in ideals]
+    # One row of the left factor per block: every product spans many blocks.
+    monkeypatch.setattr(homshift.monomials, "_JOIN_BLOCK", 1)
+    assert [I * J for I in ideals for J in ideals] == products

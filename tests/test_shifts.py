@@ -298,6 +298,17 @@ def test_hs_closed_form_dispatch():
     assert hs_closed_form(k4, 1, 1) is None
 
 
+def test_closed_form_refuses_a_graph_without_edges():
+    point = Graph(1, [])
+    for i, s in ((0, 1), (1, 1), (2, 3)):
+        for route in (hs_power, hs_closed_form):
+            with pytest.raises(PreconditionError, match="at least one edge"):
+                route(point, i, s)
+    # At s = 0 neither route needs an edge: HS_0 is the unit ideal and HS_1 is zero.
+    for i in (0, 1):
+        assert hs_closed_form(point, i, 0) == hs_power(point, i, 0)
+
+
 def test_hs_power_on_relabeled_graph_matches_oracle():
     weird = Graph(4, [(2, 1), (1, 3), (3, 4)])  # path 2-1-3-4, bad labeling
     I = comp_edge_ideal(weird)
