@@ -17,19 +17,31 @@ by round: the rows first found in the last round are joined with every
 row of G by one ``np.maximum``, and byte keys of whole rows drop the joins
 already seen.  For a lattice element a, the rows u of G with u <= a are
 the generators dividing x^a, and each gives the facet {p : u_p < a_p}
-(supp(a) minus the variables where u reaches a), so K^a costs two
-comparisons of G with a.
+(supp(a) minus the variables where u reaches a).  ``betti_table`` makes
+these two comparisons for a block of lattice rows at once and packs each
+facet into a Python-int bitmask (bit p for x_{p+1}, exact for any number
+of variables).  K^a is keyed by its set of facet masks, and the homology
+of each distinct key is computed once per table: faces are the submasks
+of the facets, and each boundary map is ranked once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations, compress
 
 import numpy as np
 
 from .errors import OracleCapError
-from .monomials import _JOIN_BLOCK, Monomial, MonomialIdeal, _exponent_matrix, _row_keys
+from .monomials import (
+    _JOIN_BLOCK,
+    Monomial,
+    MonomialIdeal,
+    _bit_rows,
+    _exponent_matrix,
+    _row_keys,
+)
 
 DEFAULT_PRIME = 2**31 - 1
 
@@ -138,45 +150,64 @@ def rank_mod_p(rows: list[list[int]], p: int = DEFAULT_PRIME) -> int:
     return rank
 
 
-def _boundary_matrix(lower: list[tuple[int, ...]], upper: list[tuple[int, ...]]) -> list[list[int]]:
-    """Matrix of the boundary map from dimension-d faces to dimension-(d-1) faces."""
-    index = {f: i for i, f in enumerate(lower)}
-    mat = [[0] * len(upper) for _ in lower]
-    for j, face in enumerate(upper):
-        sign = 1
-        for t in range(len(face)):
-            sub = face[:t] + face[t + 1 :]
-            mat[index[sub]][j] = sign
-            sign = -sign
-    return mat
+def _reduced_homology(facets: Iterable[int], field: int = 0) -> dict[int, int]:
+    """Every nonzero reduced homology rank of a complex given by facet bitmasks, keyed by dimension.
 
-
-def _reduced_homology(c: SimplicialComplex, field: int = 0) -> dict[int, int]:
-    """Every nonzero reduced homology rank of c, keyed by dimension.
-
-    One ``faces_by_dim`` call; each boundary map is ranked once
-    (field = 0 means rationals).
+    The faces are the submasks of the facets, grouped by popcount; the
+    empty face (mask 0) has dimension -1.  Removing bit b from a face has
+    sign (-1)^(number of the face's bits below b).  Each boundary map is
+    ranked once, by ``integer_rank`` (field = 0, the rationals) or by
+    ``rank_mod_p``.
     """
-    faces = c.faces_by_dim()
-    rank_fn = integer_rank if field == 0 else (lambda m: rank_mod_p(m, field))
-    ranks = {
-        d: rank_fn(_boundary_matrix(faces[d - 1], faces[d])) for d in faces if d - 1 in faces
-    }
-    homology = {d: len(faces[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0) for d in faces}
+    faces: set[int] = set()
+    # Largest first: a facet already seen is a face of an earlier one.
+    for facet in sorted(facets, key=int.bit_count, reverse=True):
+        if facet in faces:
+            continue
+        sub = facet
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & facet
+        faces.add(0)
+    by_dim: dict[int, list[int]] = {}
+    for face in sorted(faces):
+        by_dim.setdefault(face.bit_count() - 1, []).append(face)
+    ranks = {}
+    for d, upper in by_dim.items():
+        lower = by_dim.get(d - 1)
+        if lower is None:
+            continue
+        index = {face: r for r, face in enumerate(lower)}
+        mat = [[0] * len(upper) for _ in lower]
+        for j, face in enumerate(upper):
+            rest, sign = face, 1
+            while rest:
+                bit = rest & -rest
+                mat[index[face ^ bit]][j] = sign
+                rest ^= bit
+                sign = -sign
+        ranks[d] = integer_rank(mat) if field == 0 else rank_mod_p(mat, field)
+    homology = {d: len(fs) - ranks.get(d, 0) - ranks.get(d + 1, 0) for d, fs in by_dim.items()}
     return {d: h for d, h in homology.items() if h}
 
 
 def reduced_homology_rank(c: SimplicialComplex, i: int, field: int = 0) -> int:
     """Dimension of the i-th reduced homology (field = 0 means rationals)."""
-    return _reduced_homology(c, field).get(i, 0)
+    position = {v: k for k, v in enumerate(c.ground)}
+    masks = [sum(1 << position[v] for v in facet) for facet in c.facets]
+    return _reduced_homology(masks, field).get(i, 0)
 
 
-def _koszul_complex(gens: np.ndarray, a: Monomial) -> SimplicialComplex:
-    """K^a from the generator rows: each u dividing x^a gives the facet {p : u_p < a_p}."""
-    exps = np.array(a.exps, dtype=np.int64)
-    below = gens[(gens <= exps).all(axis=1)] < exps
-    labels = range(1, len(exps) + 1)
-    return SimplicialComplex(a.support(), {tuple(compress(labels, row)) for row in below.tolist()})
+def _facet_masks(gens: np.ndarray, rows: np.ndarray) -> list[frozenset[int]]:
+    """The facets of K^a as bitmasks, for each row a of ``rows``.
+
+    Bit p of a facet stands for the variable x_{p+1}; each generator row
+    u <= a gives the facet {p : u_p < a_p}.
+    """
+    divides = (gens[None, :, :] <= rows[:, None, :]).all(axis=2)
+    masks = _bit_rows((gens[None, :, :] < rows[:, None, :])[divides])
+    ends = np.cumsum(divides.sum(axis=1)).tolist()
+    return [frozenset(masks[i:j]) for i, j in zip([0] + ends[:-1], ends)]
 
 
 def upper_koszul(ideal: MonomialIdeal, a: Monomial) -> SimplicialComplex:
@@ -188,7 +219,11 @@ def upper_koszul(ideal: MonomialIdeal, a: Monomial) -> SimplicialComplex:
     """
     if a.n != ideal.n:
         raise ValueError("ambient variable counts differ")
-    return _koszul_complex(_exponent_matrix(ideal.gens, ideal.n), a)
+    gens = _exponent_matrix(ideal.gens, ideal.n)
+    exps = np.array(a.exps, dtype=np.int64)
+    below = gens[(gens <= exps).all(axis=1)] < exps
+    labels = range(1, len(exps) + 1)
+    return SimplicialComplex(a.support(), {tuple(compress(labels, row)) for row in below.tolist()})
 
 
 def lcm_lattice(
@@ -273,9 +308,17 @@ def betti_table(
     entries: dict = {}
     lattice = lcm_lattice(ideal, gen_cap, size_cap)
     gens = _exponent_matrix(ideal.gens, ideal.n)
-    for a in lattice:
-        for d, h in _reduced_homology(_koszul_complex(gens, a), field).items():
-            entries[(d + 1, a.exps)] = h
+    # Homology per distinct complex, keyed by its facet masks.
+    homology: dict[frozenset[int], dict[int, int]] = {}
+    step = max(1, _JOIN_BLOCK // max(gens.size, 1))
+    for start in range(0, len(lattice), step):
+        block = lattice[start : start + step]
+        for a, facets in zip(block, _facet_masks(gens, _exponent_matrix(block, ideal.n))):
+            ranks = homology.get(facets)
+            if ranks is None:
+                ranks = homology[facets] = _reduced_homology(facets, field)
+            for d, h in ranks.items():
+                entries[(d + 1, a.exps)] = h
     table = BettiTable(ideal.n, entries)
     _TABLE_CACHE[key] = table
     return table

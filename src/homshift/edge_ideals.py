@@ -21,7 +21,7 @@ generator's check is a few integer ORs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable
 
@@ -40,7 +40,7 @@ from .graphs import (
     is_tree,
     lex_labeled_copy,
 )
-from .monomials import Monomial, MonomialIdeal, _exponent_matrix
+from .monomials import Monomial, MonomialIdeal, _bit_rows, _exponent_matrix
 
 
 def comp_edge_ideal(g: Graph) -> MonomialIdeal:
@@ -115,6 +115,19 @@ class SetMap:
     gens: tuple[Monomial, ...]
     sets: tuple[frozenset[int], ...]
 
+    @cached_property
+    def exps(self) -> np.ndarray:
+        """The generators' exponent matrix, one row per generator, read-only.
+
+        Built on first use and kept in the smallest unsigned dtype that fits,
+        since cached set maps live for the whole process.  Not a field, so it
+        takes no part in equality, hashing or repr.
+        """
+        exps = _exponent_matrix(self.gens, self.n)
+        exps = exps.astype(np.min_scalar_type(int(exps.max(initial=0))))
+        exps.flags.writeable = False
+        return exps
+
     @property
     def n(self) -> int:
         return self.gens[0].n if self.gens else 0
@@ -133,8 +146,7 @@ def _above_bitsets(rows: np.ndarray) -> list[dict[int, int]]:
     above = []
     for col in rows.T:
         values = sorted(set(col.tolist()))
-        bits = np.packbits(col[None, :] > np.array(values)[:, None], axis=1, bitorder="little")
-        above.append({e: int.from_bytes(b.tobytes(), "little") for e, b in zip(values, bits)})
+        above.append(dict(zip(values, _bit_rows(col[None, :] > np.array(values)[:, None]))))
     return above
 
 
@@ -157,6 +169,8 @@ def set_map_colon(ordered: Iterable[Monomial]) -> SetMap:
     first row that fails.
     """
     gens = tuple(ordered)
+    if len({g.n for g in gens}) > 1:
+        raise ValueError("ambient variable counts differ")
     if len({g.exps for g in gens}) != len(gens):
         raise ValueError("ordered generators must be pairwise distinct")
     if not gens:

@@ -183,6 +183,12 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
+def _bit_rows(bits: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as a Python int with bit p for column p, exact at any width."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _lex_keys(rows: np.ndarray) -> list[np.ndarray]:
     """Sort keys of a non-negative exponent matrix, most significant first.
 

@@ -49,7 +49,6 @@ from .monomials import (
     MonomialIdeal,
     VeroneseSpec,
     _check_int64,
-    _exponent_matrix,
     _ideal_from_rows,
     divide_out,
     has_strong_exchange,
@@ -71,7 +70,7 @@ def hs_linear_quotients(sm: SetMap, i: int) -> MonomialIdeal:
         return MonomialIdeal.zero(n)
     if i == 0:
         return MonomialIdeal(n, sm.gens)
-    gens = _exponent_matrix(sm.gens, n)
+    gens = sm.exps.astype(np.int64)
     _check_int64(n, int(gens.max(initial=0)) + 1)
     sizes = np.array([len(su) for su in sm.sets], dtype=np.int64)
     blocks = []

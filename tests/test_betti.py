@@ -1,3 +1,4 @@
+from datetime import timedelta
 from itertools import combinations
 
 import pytest
@@ -22,7 +23,7 @@ from homshift import (
     reduced_homology_rank,
     upper_koszul,
 )
-from homshift.betti import integer_rank, rank_mod_p
+from homshift.betti import DEFAULT_PRIME, integer_rank, rank_mod_p
 from homshift.corpus import connected_graphs
 
 
@@ -213,13 +214,48 @@ def test_lcm_lattice_caps_are_exact():
 def test_lcm_lattice_independent_of_join_blocks(monkeypatch):
     ideals = [comp_power_ideal(g, 2) for g in connected_graphs(5)]
     lattices = [lcm_lattice(I) for I in ideals]
-    # One frontier row per block: every round spans many blocks.
+    monkeypatch.setattr(homshift.betti, "_TABLE_CACHE", {})
+    tables = [betti_table(I).entries for I in ideals]
+    # One frontier row per block: every round spans many blocks, and
+    # betti_table reads one lattice row per block.
     monkeypatch.setattr(homshift.betti, "_JOIN_BLOCK", 1)
+    monkeypatch.setattr(homshift.betti, "_TABLE_CACHE", {})
     assert [lcm_lattice(I) for I in ideals] == lattices
+    assert [betti_table(I).entries for I in ideals] == tables
     for I, lattice in zip(ideals, lattices):
         assert len(lcm_lattice(I, size_cap=len(lattice))) == len(lattice)
         with pytest.raises(OracleCapError, match="size cap"):
             lcm_lattice(I, size_cap=len(lattice) - 1)
+
+
+def test_betti_table_returns_cached_object(monkeypatch):
+    monkeypatch.setattr(homshift.betti, "_TABLE_CACHE", {})
+    I = comp_power_ideal(CycleLabeling(5).graph, 2)
+    for field in (0, DEFAULT_PRIME):
+        table = betti_table(I, field)
+        assert betti_table(I, field) is table
+    assert len(homshift.betti._TABLE_CACHE) == 2
+
+
+def test_betti_table_beyond_64_variables():
+    # Facet masks are Python ints: bit 69 or bit 128 must not wrap onto a low bit.
+    n = 70
+    gens = [Monomial.from_support(n, e) for e in ((1, 2), (2, 70), (1, 70))]
+    lcm = Monomial.from_support(n, (1, 2, 70)).exps
+    want = {(0, u.exps): 1 for u in gens}
+    want[(1, lcm)] = 2  # K^lcm is the three points {1}, {2}, {70}
+    for field in (0, DEFAULT_PRIME):
+        assert betti_table(MonomialIdeal(n, gens), field).entries == want
+    for n in (66, 70, 130):
+        # Two disjoint edges {1, 2} and {n-1, n}: one reduced 0-cycle.
+        low, high = Monomial.from_support(n, (1, 2)), Monomial.from_support(n, (n - 1, n))
+        assert betti_table(MonomialIdeal(n, [low, high])).entries == {
+            (0, low.exps): 1,
+            (0, high.exps): 1,
+            (1, (low * high).exps): 1,
+        }
+    two_edges = SimplicialComplex((1, 2, 129, 130), [{1, 2}, {129, 130}])
+    assert reduced_homology_rank(two_edges, 0) == 1
 
 
 def test_gen_cap_refuses_before_lattice_work(monkeypatch):
@@ -268,3 +304,49 @@ def test_upper_koszul_matches_definition(I, extra):
         }
         got = upper_koszul(I, a).faces_by_dim()
         assert {face for faces in got.values() for face in faces} == want
+
+
+def _homology_from_definition(faces):
+    """Nonzero reduced homology ranks of a set of faces (sorted tuples), keyed by dimension."""
+    by_dim = {}
+    for face in sorted(faces):
+        by_dim.setdefault(len(face) - 1, []).append(face)
+    ranks = {}
+    for d, upper in by_dim.items():
+        lower = by_dim.get(d - 1)
+        if lower is None:
+            continue
+        # Column of face (v_0 < ... < v_d): (-1)^t at the row of the face without v_t.
+        mat = [[0] * len(upper) for _ in lower]
+        for j, face in enumerate(upper):
+            for t in range(len(face)):
+                mat[lower.index(face[:t] + face[t + 1 :])][j] = (-1) ** t
+        ranks[d] = integer_rank(mat)
+    homology = {d: len(fs) - ranks.get(d, 0) - ranks.get(d + 1, 0) for d, fs in by_dim.items()}
+    return {d: h for d, h in homology.items() if h}
+
+
+@settings(derandomize=True, max_examples=150, deadline=timedelta(seconds=5), database=None)
+@given(small_ideals())
+def test_betti_table_matches_definition(I):
+    gens = [g.exps for g in I.gens]
+    lattice = {
+        tuple(map(max, zip(*subset)))
+        for k in range(1, len(gens) + 1)
+        for subset in combinations(gens, k)
+    }
+    want = {}
+    for exps in lattice:
+        a = Monomial(exps)
+        support = a.support()
+        faces = {
+            face
+            for k in range(len(support) + 1)
+            for face in combinations(support, k)
+            if a / Monomial.from_support(I.n, face) in I
+        }
+        for d, h in _homology_from_definition(faces).items():
+            want[(d + 1, exps)] = h
+    assert betti_table(I).entries == want
+    # Complexes on at most 5 vertices have no torsion, so F_p gives the same table.
+    assert betti_table(I, field=DEFAULT_PRIME).entries == want

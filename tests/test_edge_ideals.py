@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import homshift.edge_ideals
 from homshift import (
     CycleLabeling,
     Graph,
     MonomialIdeal,
     NotLinearQuotientsError,
     PreconditionError,
+    SetMap,
     comp_edge_ideal,
     comp_power_ideal,
+    hs_linear_quotients,
     pd_formula,
     pd_linear_quotients,
     pd_of_power,
@@ -154,6 +157,32 @@ def test_set_map_colon_check_rejects_nonempty_set():
 def test_set_map_colon_rejects_mixed_degrees():
     with pytest.raises(PreconditionError):
         set_map_colon([Monomial((1, 1, 0)), Monomial((0, 0, 1))])
+
+
+def test_set_map_colon_rejects_mixed_variable_counts(monkeypatch):
+    def no_array(gens, n):
+        raise AssertionError("exponent matrix built for generators in different rings")
+
+    monkeypatch.setattr(homshift.edge_ideals, "_exponent_matrix", no_array)
+    # Both have degree 2, so only the variable counts tell them apart.
+    with pytest.raises(ValueError, match="ambient variable counts differ"):
+        set_map_colon([Monomial((1, 1)), Monomial((2, 0, 0))])
+
+
+def test_set_map_keeps_its_exponent_matrix():
+    sm = power_set_map(CycleLabeling(5).graph, 2)
+    assert sm.exps.tolist() == [list(u.exps) for u in sm.gens]
+    assert not sm.exps.flags.writeable
+    assert sm.exps is sm.exps
+    # Not a field: no part of eq, hash or repr, and not a constructor argument.
+    bare = SetMap(sm.gens, sm.sets)
+    assert bare == sm and hash(bare) == hash(sm) and repr(bare) == repr(sm)
+    assert "exps" not in vars(bare)
+    assert SetMap((), ()).exps.shape == (0, 0)
+    # Construction builds no matrix: only HS_i refuses an exponent past int64.
+    huge = SetMap((Monomial((2**63, 0)),), (frozenset({2}),))
+    with pytest.raises(OverflowError):
+        hs_linear_quotients(huge, 1)
 
 
 @st.composite
