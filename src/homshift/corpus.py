@@ -5,6 +5,12 @@ on [n] sends each j <= n-2 to a parent phi(j) in {j+1, ..., n-1} and joins
 n-1 to the root leaf n.  Of these (n-2)! trees the corpus keeps those the
 deterministic distance labeling leaves unchanged, one per labeled result.
 
+The connected graphs on up to 7 vertices ship with the package as a
+generated table (``homshift._catalog``): the connected graphs of Read &
+Wilson's atlas in atlas order, already in suffix-connected labels.  No
+graph library is needed at run time; the test suite rebuilds the table
+from networkx's atlas and compares the two.
+
 Each claim that ``homshift verify`` checks has one check function here,
 taking one instance and returning its verify record.  ``SUITES`` pairs each check with the
 instances it covers up to a vertex count; ``homshift verify`` and the
@@ -31,9 +37,7 @@ from .graphs import (
     LabeledTree,
     CycleLabeling,
     is_bipartite,
-    is_connected,
     is_tree,
-    lex_labeled_copy,
     tree_distance_labeling,
 )
 from .monomials import VeroneseSpec, veronese_type
@@ -65,27 +69,32 @@ def cycles(n_max: int, n_min: int = 3) -> tuple[CycleLabeling, ...]:
     return tuple(CycleLabeling(n) for n in range(n_min, n_max + 1))
 
 
+def _from_graph6(code: str) -> Graph:
+    """The graph of a graph6 string on at most 62 vertices; graph6 vertex k becomes k + 1."""
+    n = ord(code[0]) - 63
+    bits = "".join(format(ord(c) - 63, "06b") for c in code[1:])
+    pairs = ((i, j) for j in range(2, n + 1) for i in range(1, j))
+    return Graph(n, [pair for pair, bit in zip(pairs, bits) if bit == "1"])
+
+
 @lru_cache(maxsize=None)
 def connected_graphs(n: int) -> tuple[Graph, ...]:
-    """Connected graphs on n <= 7 vertices, one per isomorphism class.
+    """Connected graphs on 1 <= n <= 7 vertices, one per isomorphism class.
 
-    Each representative is relabeled so that every suffix of its vertex
-    set induces a connected subgraph, making all powers of its
+    The graphs come in the order of Read & Wilson's *An Atlas of Graphs*
+    (1998).  Each representative is relabeled so that every suffix of its
+    vertex set induces a connected subgraph, making all powers of its
     complementary edge ideal directly amenable to lex linear quotients.
+    The table ships as graph6 strings in ``homshift._catalog``;
+    ``python tests/test_graphs.py`` regenerates it from networkx's copy of
+    the atlas, and ``test_catalog_matches_atlas`` checks it against that
+    copy graph by graph.
     """
-    if n > 7:
-        raise ValueError("the graph catalog covers at most 7 vertices")
-    from networkx.generators.atlas import graph_atlas_g
+    if not 1 <= n <= 7:
+        raise ValueError("the graph catalog covers 1 to 7 vertices")
+    from ._catalog import GRAPH6
 
-    out = []
-    for nx_graph in graph_atlas_g():
-        if nx_graph.number_of_nodes() != n:
-            continue
-        g = Graph(n, [(u + 1, v + 1) for u, v in nx_graph.edges()])
-        if not is_connected(g):
-            continue
-        out.append(lex_labeled_copy(g)[0])
-    return tuple(out)
+    return tuple(map(_from_graph6, GRAPH6[n].split()))
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,24 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
+def _product_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The distinct sums of a row of ``a`` and a row of ``b``, neither matrix empty.
+
+    One broadcast sum per block of ``_JOIN_BLOCK`` entries, deduplicated
+    block by block; the blocks are concatenated unordered.  Entries that
+    could pass int64 raise OverflowError.
+    """
+    n = a.shape[1]
+    _check_int64(n, int(a.max(initial=0)) + int(b.max(initial=0)))
+    step = max(1, _JOIN_BLOCK // max(b.size, 1))
+    blocks = []
+    for k in range(0, len(a), step):
+        block = a[k : k + step]
+        sums = block[:, None, :] + b[None, :, :]
+        blocks.append(_distinct_rows(sums.reshape(len(block) * len(b), n)))
+    return np.concatenate(blocks)
+
+
 def _ideal_from_rows(n: int, rows: np.ndarray) -> "MonomialIdeal":
     """The ideal generated by the rows of an int64 exponent matrix.
 
@@ -323,21 +341,14 @@ class MonomialIdeal:
         return _ideal_from_rows(self.n, rows)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """All pairwise products, one broadcast sum per block of ``_JOIN_BLOCK`` entries."""
+        """All pairwise products of generators, summed on exponent matrices."""
         if self.n != other.n:
             raise ValueError("ambient variable counts differ")
         if self.is_zero() or other.is_zero():
             return MonomialIdeal.zero(self.n)
         a = _exponent_matrix(self.gens, self.n)
         b = _exponent_matrix(other.gens, other.n)
-        _check_int64(self.n, int(a.max(initial=0)) + int(b.max(initial=0)))
-        step = max(1, _JOIN_BLOCK // max(b.size, 1))
-        blocks = []
-        for k in range(0, len(a), step):
-            block = a[k : k + step]
-            sums = block[:, None, :] + b[None, :, :]
-            blocks.append(_distinct_rows(sums.reshape(len(block) * len(b), self.n)))
-        return _ideal_from_rows(self.n, np.concatenate(blocks))
+        return _ideal_from_rows(self.n, _product_rows(a, b))
 
     def scaled(self, m: Monomial) -> "MonomialIdeal":
         """The ideal m * I."""

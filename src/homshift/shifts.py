@@ -49,7 +49,9 @@ from .monomials import (
     MonomialIdeal,
     VeroneseSpec,
     _check_int64,
+    _exponent_matrix,
     _ideal_from_rows,
+    _product_rows,
     divide_out,
     has_strong_exchange,
     maximal_ideal,
@@ -200,14 +202,20 @@ def hs_cycle_formula(c: Graph, i: int, s: int) -> MonomialIdeal:
         raise PreconditionError(f"cycle formula needs 1 <= i < n, got i={i}")
     if s < i // 2:
         raise PreconditionError(f"cycle formula needs s >= floor(i/2), got s={s}")
-    total = MonomialIdeal.zero(n)
+    terms = []
     for k in range(max(i - (n + 1) // 2 + 1, 0), i // 2 + 1):
-        base = Monomial.uniform(n, i - k)
-        block = MonomialIdeal(
-            n, [base / Monomial.from_support(n, F) for F in combinations(c.vertices(), i - 2 * k)]
-        )
-        total = total + comp_power_ideal(c, s - i + k) * block
-    return total
+        power = comp_power_ideal(c, s - i + k)
+        if power.is_zero():
+            continue
+        # alpha^{i-k} / x_F for every (i-2k)-subset F of the vertices.
+        picks = np.array(list(combinations(range(n), i - 2 * k)), dtype=np.intp)
+        block = np.full((len(picks), n), i - k, dtype=np.int64)
+        block[np.arange(len(picks))[:, None], picks] -= 1
+        terms.append(_product_rows(_exponent_matrix(power.gens, n), block))
+    if not terms:
+        return MonomialIdeal.zero(n)
+    # Every term has degree (n-2)s + i, so the rows need no minimalizing.
+    return _ideal_from_rows(n, np.concatenate(terms))
 
 
 def hs_cycle_top(c: Graph, s: int) -> MonomialIdeal:

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
 from networkx import from_prufer_sequence
+from networkx.generators.atlas import graph_atlas_g
 
 from homshift import (
     CycleLabeling,
@@ -17,11 +23,14 @@ from homshift import (
     is_bipartite,
     is_connected,
     is_tree,
+    lex_labeled_copy,
     spanning_paths_of_cycle,
     tree_distance_labeling,
     validate_lex_labeling,
 )
-from homshift.corpus import distance_labeled_trees
+from homshift.corpus import connected_graphs, distance_labeled_trees
+
+CATALOG = Path(__file__).resolve().parents[1] / "src" / "homshift" / "_catalog.py"
 
 
 def path(n):
@@ -282,3 +291,102 @@ def test_graph_json_round_trip_and_kinds():
         graph_from_dict({"edges": []})
     with pytest.raises(InputFormatError):
         graph_from_dict({"n": 2, "edges": [[1, 2, 3]]})
+
+
+# ---------------------------------------------------------------------------
+# the shipped catalog of connected graphs and the atlas pipeline it came from
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def atlas_catalog() -> dict[int, tuple[Graph, ...]]:
+    """The connected graphs of networkx's atlas on 1..7 vertices, in atlas order.
+
+    Each one is relabeled by ``lex_labeled_copy``, so every suffix of its
+    vertex set induces a connected subgraph.  This is the pipeline that
+    ``homshift/_catalog.py`` was generated from.
+    """
+    out: dict[int, list[Graph]] = {n: [] for n in range(1, 8)}
+    for nx_graph in graph_atlas_g():
+        n = nx_graph.number_of_nodes()
+        if n == 0:
+            continue
+        g = Graph(n, [(u + 1, v + 1) for u, v in nx_graph.edges()])
+        if is_connected(g):
+            out[n].append(lex_labeled_copy(g)[0])
+    return {n: tuple(gs) for n, gs in out.items()}
+
+
+def to_graph6(g: Graph) -> str:
+    """The graph6 string of g, with vertex v written as graph6 vertex v - 1."""
+    bits = "".join(
+        "1" if g.has_edge(i, j) else "0" for j in range(2, g.n + 1) for i in range(1, j)
+    )
+    bits += "0" * (-len(bits) % 6)
+    return chr(g.n + 63) + "".join(chr(int(bits[k : k + 6], 2) + 63) for k in range(0, len(bits), 6))
+
+
+def catalog_source() -> str:
+    """The text of ``homshift/_catalog.py``, generated from ``atlas_catalog``."""
+    lines = [
+        '"""Connected graphs on 1 to 7 vertices, one per isomorphism class, as graph6 strings.',
+        "",
+        "Generated by ``python tests/test_graphs.py``; do not edit.  ``GRAPH6[n]``",
+        "holds the graphs on n vertices, separated by spaces, in the order of",
+        "Read & Wilson, *An Atlas of Graphs* (1998), each in the suffix-connected",
+        "labels that ``graphs.lex_labeled_copy`` gives it; graph6 vertex k is",
+        "vertex k + 1.  ``test_catalog_matches_atlas`` rebuilds the table from",
+        "networkx's copy of the atlas and compares it graph by graph.",
+        '"""',
+        "",
+        "GRAPH6 = {",
+    ]
+    for n, gs in atlas_catalog().items():
+        codes = [to_graph6(g) for g in gs]
+        chunks = [" ".join(codes[k : k + 12]) for k in range(0, len(codes), 12)]
+        if len(chunks) == 1:
+            lines.append(f"    {n}: {chunks[0]!r},")
+            continue
+        lines.append(f"    {n}: (")
+        lines += [f"        {chunk + ' '!r}" for chunk in chunks[:-1]]
+        lines += [f"        {chunks[-1]!r}", "    ),"]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_catalog_matches_atlas(n):
+    assert connected_graphs(n) == atlas_catalog()[n]
+
+
+def test_catalog_counts():
+    assert [len(connected_graphs(n)) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+
+
+@pytest.mark.parametrize("n", [-1, 0, 8])
+def test_catalog_range(n):
+    with pytest.raises(ValueError, match="1 to 7 vertices"):
+        connected_graphs(n)
+
+
+def test_catalog_needs_no_networkx():
+    # A None entry in sys.modules makes every import of networkx fail.
+    script = (
+        "import sys; sys.modules['networkx'] = None\n"
+        "import homshift\n"
+        "from homshift.cli import main\n"
+        "from homshift.corpus import connected_graphs\n"
+        "print([len(connected_graphs(n)) for n in range(1, 8)])\n"
+        "sys.exit(main(['verify', '--max-n', '4']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(CATALOG.parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "[1, 1, 2, 6, 21, 112, 853]"
+
+
+if __name__ == "__main__":
+    CATALOG.write_text(catalog_source())
+    print(f"wrote {CATALOG}")

@@ -156,6 +156,22 @@ def test_hs_cycle_formula_examples():
         hs_cycle_formula(path(4), 1, 1)
 
 
+@pytest.mark.parametrize("n", range(3, 10))
+def test_hs_cycle_formula_matches_definition(n):
+    # The sum over k of I^{s-i+k} * (alpha^{i-k} / x_F : |F| = i - 2k), with ideal * and +.
+    c = CycleLabeling(n).graph
+    for i in range(1, n):
+        for s in range(i // 2, i // 2 + 4):
+            total = MonomialIdeal.zero(n)
+            for k in range(max(i - (n + 1) // 2 + 1, 0), i // 2 + 1):
+                alpha = Monomial.uniform(n, i - k)
+                block = MonomialIdeal(
+                    n, [alpha / Monomial.from_support(n, F) for F in combinations(c.vertices(), i - 2 * k)]
+                )
+                total = total + comp_power_ideal(c, s - i + k) * block
+            assert hs_cycle_formula(c, i, s) == total, (n, i, s)
+
+
 def test_hs_cycle_top_examples():
     c5 = CycleLabeling(5).graph
     assert hs_cycle_top(c5, 2) == ideal(5, (2, 2, 2, 2, 2))
