@@ -8,7 +8,6 @@ from .betti import (
     hs_oracle,
     lcm_lattice,
     pd_oracle,
-    reduced_homology_rank,
     upper_koszul,
 )
 from .edge_ideals import (
@@ -75,7 +74,6 @@ from .shifts import (
     hs_cycle_top,
     hs_linear_quotients,
     hs_power,
-    hs_rees_containment_check,
     hs_subgraph_containment_check,
     hs_tree_formula,
     j_ideal,

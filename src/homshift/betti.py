@@ -8,8 +8,7 @@ the subsets F of supp(a) with x^a / x_F in I, and
 Nonzero entries occur only at lcms of generator subsets, so scanning the
 lcm lattice recovers every homological shift ideal and the projective
 dimension without any reference to linear quotients.  Ranks are exact:
-fraction-free integer elimination by default, or arithmetic modulo a
-fixed large prime when a finite field is requested.
+fraction-free integer elimination over the rationals.
 
 Both the lattice and the complexes are read from the integer matrix G of
 generator exponents, one row per generator.  The lattice is closed round
@@ -20,16 +19,15 @@ the generators dividing x^a, and each gives the facet {p : u_p < a_p}
 (supp(a) minus the variables where u reaches a).  ``betti_table`` makes
 these two comparisons for a block of lattice rows at once and packs each
 facet into a Python-int bitmask (bit p for x_{p+1}, exact for any number
-of variables).  K^a is keyed by its set of facet masks, and the homology
-of each distinct key is computed once per table: faces are the submasks
-of the facets, and each boundary map is ranked once.
+of variables).  K^a is the ``SimplicialComplex`` on its set of facet
+masks, and the homology of each distinct set is computed once per table:
+faces are the submasks of the facets, and each boundary map is ranked
+once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations, compress
 
 import numpy as np
 
@@ -43,62 +41,62 @@ from .monomials import (
     _row_keys,
 )
 
-DEFAULT_PRIME = 2**31 - 1
-
 DEFAULT_GEN_CAP = 60
 DEFAULT_LATTICE_CAP = 100_000
 
 
+@dataclass(frozen=True)
 class SimplicialComplex:
-    """An abstract simplicial complex on a subset of [n], stored by facets.
+    """An abstract simplicial complex given by facet bitmasks (bit p for the vertex p + 1).
 
-    The void complex (no faces at all) and the empty complex {the empty
-    face} are distinct; both occur as upper Koszul complexes.
+    The void complex (no facets, so no faces at all) and the empty complex
+    (the one facet 0, the empty face) are distinct; both occur as upper
+    Koszul complexes.
     """
 
-    __slots__ = ("ground", "facets")
+    facets: frozenset[int]
 
-    def __init__(self, ground, facets):
-        ground_set = set(ground)
-        ground = tuple(sorted(ground_set))
-        cleaned = []
-        fsets = sorted({frozenset(f) for f in facets}, key=lambda f: (len(f), sorted(f)))
-        for k, f in enumerate(fsets):
-            if not f <= ground_set:
-                raise ValueError(f"facet {sorted(f)} outside ground set {ground}")
-            # Sorted by size, so only later facets can strictly contain f.
-            if any(f < g for g in fsets[k + 1 :]):
+    def faces_by_dim(self) -> dict[int, list[int]]:
+        """Every face mask in ascending order, grouped by dimension (the empty face 0 in -1)."""
+        faces: set[int] = set()
+        # Largest first: a facet already seen is a face of an earlier one.
+        for facet in sorted(self.facets, key=int.bit_count, reverse=True):
+            if facet in faces:
                 continue
-            cleaned.append(f)
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "facets", tuple(cleaned))
+            sub = facet
+            while sub:
+                faces.add(sub)
+                sub = (sub - 1) & facet
+            faces.add(0)
+        by_dim: dict[int, list[int]] = {}
+        for face in sorted(faces):
+            by_dim.setdefault(face.bit_count() - 1, []).append(face)
+        return by_dim
 
-    def is_void(self) -> bool:
-        return not self.facets
+    def reduced_homology(self) -> dict[int, int]:
+        """Every nonzero reduced homology rank over the rationals, keyed by dimension.
 
-    def faces_by_dim(self) -> dict[int, list[tuple[int, ...]]]:
-        """All faces grouped by dimension; the empty face has dimension -1."""
-        if self.is_void():
-            return {}
-        faces: set[tuple[int, ...]] = set()
-        for facet in self.facets:
-            verts = sorted(facet)
-            for k in range(len(verts) + 1):
-                faces.update(combinations(verts, k))
-        out: dict[int, list[tuple[int, ...]]] = {}
-        for f in sorted(faces, key=lambda f: (len(f), f)):
-            out.setdefault(len(f) - 1, []).append(f)
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SimplicialComplex)
-            and self.ground == other.ground
-            and set(self.facets) == set(other.facets)
-        )
-
-    def __repr__(self):
-        return f"SimplicialComplex(ground={self.ground}, facets={[sorted(f) for f in self.facets]})"
+        Removing bit b from a face has sign (-1)^(number of the face's bits
+        below b), and each boundary map is ranked once by ``integer_rank``.
+        """
+        by_dim = self.faces_by_dim()
+        ranks = {}
+        for d, upper in by_dim.items():
+            lower = by_dim.get(d - 1)
+            if lower is None:
+                continue
+            index = {face: r for r, face in enumerate(lower)}
+            mat = [[0] * len(upper) for _ in lower]
+            for j, face in enumerate(upper):
+                rest, sign = face, 1
+                while rest:
+                    bit = rest & -rest
+                    mat[index[face ^ bit]][j] = sign
+                    rest ^= bit
+                    sign = -sign
+            ranks[d] = integer_rank(mat)
+        homology = {d: len(fs) - ranks.get(d, 0) - ranks.get(d + 1, 0) for d, fs in by_dim.items()}
+        return {d: h for d, h in homology.items() if h}
 
 
 def integer_rank(rows: list[list[int]]) -> int:
@@ -127,77 +125,6 @@ def integer_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def rank_mod_p(rows: list[list[int]], p: int = DEFAULT_PRIME) -> int:
-    """Rank over the prime field F_p by Gaussian elimination."""
-    mat = [[x % p for x in r] for r in rows]
-    m = len(mat)
-    ncols = len(mat[0]) if m else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, m) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for r in range(m):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def _reduced_homology(facets: Iterable[int], field: int = 0) -> dict[int, int]:
-    """Every nonzero reduced homology rank of a complex given by facet bitmasks, keyed by dimension.
-
-    The faces are the submasks of the facets, grouped by popcount; the
-    empty face (mask 0) has dimension -1.  Removing bit b from a face has
-    sign (-1)^(number of the face's bits below b).  Each boundary map is
-    ranked once, by ``integer_rank`` (field = 0, the rationals) or by
-    ``rank_mod_p``.
-    """
-    faces: set[int] = set()
-    # Largest first: a facet already seen is a face of an earlier one.
-    for facet in sorted(facets, key=int.bit_count, reverse=True):
-        if facet in faces:
-            continue
-        sub = facet
-        while sub:
-            faces.add(sub)
-            sub = (sub - 1) & facet
-        faces.add(0)
-    by_dim: dict[int, list[int]] = {}
-    for face in sorted(faces):
-        by_dim.setdefault(face.bit_count() - 1, []).append(face)
-    ranks = {}
-    for d, upper in by_dim.items():
-        lower = by_dim.get(d - 1)
-        if lower is None:
-            continue
-        index = {face: r for r, face in enumerate(lower)}
-        mat = [[0] * len(upper) for _ in lower]
-        for j, face in enumerate(upper):
-            rest, sign = face, 1
-            while rest:
-                bit = rest & -rest
-                mat[index[face ^ bit]][j] = sign
-                rest ^= bit
-                sign = -sign
-        ranks[d] = integer_rank(mat) if field == 0 else rank_mod_p(mat, field)
-    homology = {d: len(fs) - ranks.get(d, 0) - ranks.get(d + 1, 0) for d, fs in by_dim.items()}
-    return {d: h for d, h in homology.items() if h}
-
-
-def reduced_homology_rank(c: SimplicialComplex, i: int, field: int = 0) -> int:
-    """Dimension of the i-th reduced homology (field = 0 means rationals)."""
-    position = {v: k for k, v in enumerate(c.ground)}
-    masks = [sum(1 << position[v] for v in facet) for facet in c.facets]
-    return _reduced_homology(masks, field).get(i, 0)
-
-
 def _facet_masks(gens: np.ndarray, rows: np.ndarray) -> list[frozenset[int]]:
     """The facets of K^a as bitmasks, for each row a of ``rows``.
 
@@ -215,15 +142,12 @@ def upper_koszul(ideal: MonomialIdeal, a: Monomial) -> SimplicialComplex:
 
     With T_u = {p in supp(a) : the generator u has full exponent a_p},
     each generator u dividing x^a contributes the facet supp(a) - T_u,
-    which is {p : u_p < a_p}.
+    which is {p : u_p < a_p}; bit p of a facet mask stands for x_{p+1}.
     """
     if a.n != ideal.n:
         raise ValueError("ambient variable counts differ")
     gens = _exponent_matrix(ideal.gens, ideal.n)
-    exps = np.array(a.exps, dtype=np.int64)
-    below = gens[(gens <= exps).all(axis=1)] < exps
-    labels = range(1, len(exps) + 1)
-    return SimplicialComplex(a.support(), {tuple(compress(labels, row)) for row in below.tolist()})
+    return SimplicialComplex(_facet_masks(gens, _exponent_matrix([a], ideal.n))[0])
 
 
 def lcm_lattice(
@@ -296,12 +220,11 @@ _TABLE_CACHE: dict = {}
 
 def betti_table(
     ideal: MonomialIdeal,
-    field: int = 0,
     gen_cap: int = DEFAULT_GEN_CAP,
     size_cap: int = DEFAULT_LATTICE_CAP,
 ) -> BettiTable:
-    """The full Betti table over the lcm lattice, cached per ideal, field and caps."""
-    key = (ideal, field, gen_cap, size_cap)
+    """The full Betti table over the lcm lattice, cached per ideal and caps."""
+    key = (ideal, gen_cap, size_cap)
     cached = _TABLE_CACHE.get(key)
     if cached is not None:
         return cached
@@ -316,7 +239,7 @@ def betti_table(
         for a, facets in zip(block, _facet_masks(gens, _exponent_matrix(block, ideal.n))):
             ranks = homology.get(facets)
             if ranks is None:
-                ranks = homology[facets] = _reduced_homology(facets, field)
+                ranks = homology[facets] = SimplicialComplex(facets).reduced_homology()
             for d, h in ranks.items():
                 entries[(d + 1, a.exps)] = h
     table = BettiTable(ideal.n, entries)
@@ -324,25 +247,25 @@ def betti_table(
     return table
 
 
-def hs_oracle(ideal: MonomialIdeal, i: int, field: int = 0) -> MonomialIdeal:
+def hs_oracle(ideal: MonomialIdeal, i: int) -> MonomialIdeal:
     """The i-th homological shift ideal straight from Betti numbers."""
     if i < 0 or ideal.is_zero():
         return MonomialIdeal.zero(ideal.n)
-    table = betti_table(ideal, field)
+    table = betti_table(ideal)
     return MonomialIdeal.from_exponents(ideal.n, table.degrees_at(i))
 
 
-def pd_oracle(ideal: MonomialIdeal, field: int = 0) -> int:
+def pd_oracle(ideal: MonomialIdeal) -> int:
     """Projective dimension as the largest i with a nonzero Betti number."""
     if ideal.is_zero():
         raise ValueError("projective dimension of the zero ideal is undefined")
-    return betti_table(ideal, field).max_index()
+    return betti_table(ideal).max_index()
 
 
-def betti_monotonicity_check(J: MonomialIdeal, I: MonomialIdeal, field: int = 0) -> bool:
+def betti_monotonicity_check(J: MonomialIdeal, I: MonomialIdeal) -> bool:
     """Whether beta_{i,a}(J) <= beta_{i,a}(I) for every i and multidegree a."""
     if J.n != I.n:
         raise ValueError("ambient variable counts differ")
-    lower = betti_table(J, field).entries
-    upper = betti_table(I, field).entries
+    lower = betti_table(J).entries
+    upper = betti_table(I).entries
     return all(b <= upper.get(key, 0) for key, b in lower.items())

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import corpus
-from .betti import betti_table
+from .betti import DEFAULT_GEN_CAP, betti_table
 from .edge_ideals import (
     comp_edge_ideal,
     comp_power_ideal,
@@ -285,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--s", type=int, default=1, help="power (default 1)")
     p.add_argument("--i", type=int, default=None, help="print HS_i instead of the table")
-    p.add_argument("--gen-cap", type=int, default=60, help="refuse ideals above this generator count")
+    p.add_argument(
+        "--gen-cap", type=int, default=DEFAULT_GEN_CAP, help="refuse ideals above this generator count"
+    )
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="run a verification suite over the built-in corpus")

@@ -330,12 +330,6 @@ def caterpillar_realization(
     return t, content, core == veronese_core
 
 
-def hs_rees_containment_check(g: Graph, i: int, s: int) -> bool:
-    """Whether I * HS_i(I^s) is contained in HS_i(I^{s+1})."""
-    lhs = comp_edge_ideal(g) * hs_power(g, i, s)
-    return lhs.is_contained_in(hs_power(g, i, s + 1))
-
-
 def generation_degree_profile(g: Graph, i: int, s_max: int) -> list[int]:
     """Powers s <= s_max where HS_i(I^s) strictly exceeds I * HS_i(I^{s-1}).
 

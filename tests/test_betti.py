@@ -1,4 +1,5 @@
 from datetime import timedelta
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -20,10 +21,9 @@ from homshift import (
     hs_oracle,
     lcm_lattice,
     pd_oracle,
-    reduced_homology_rank,
     upper_koszul,
 )
-from homshift.betti import DEFAULT_PRIME, integer_rank, rank_mod_p
+from homshift.betti import integer_rank
 from homshift.corpus import connected_graphs
 
 
@@ -33,6 +33,14 @@ def ideal(n, *rows):
 
 def path(n):
     return Graph(n, [(i, i + 1) for i in range(1, n)])
+
+
+def mask(*vertices):
+    return sum(1 << (v - 1) for v in vertices)
+
+
+def complex_on(*facets):
+    return SimplicialComplex(frozenset(mask(*f) for f in facets))
 
 
 def test_integer_rank():
@@ -46,52 +54,74 @@ def test_integer_rank():
     assert integer_rank(big) == 2
 
 
-def test_rank_mod_p_agrees_on_small_matrices():
-    mats = [
-        [[1, 2], [2, 4]],
-        [[2, 0, 1], [0, 3, 1], [2, 3, 2]],
-        [[0, -1, -1], [-1, 0, 1], [1, 1, 0]],
-    ]
-    for m in mats:
-        assert integer_rank(m) == rank_mod_p(m)
+def _rank_by_fractions(rows):
+    """Rank by Gauss-Jordan elimination over exact fractions."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                f = mat[r][col] / mat[rank][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.sampled_from([0, 0, 1, -1, 2, -3, 10**20]), min_size=cols, max_size=cols),
+            max_size=6,
+        )
+    )
+)
+def test_integer_rank_matches_fraction_elimination(rows):
+    assert integer_rank(rows) == _rank_by_fractions(rows)
 
 
 def test_simplicial_complex_faces_and_void():
-    void = SimplicialComplex((1, 2), [])
-    assert void.is_void() and void.faces_by_dim() == {}
-    empty = SimplicialComplex((), [frozenset()])
-    assert not empty.is_void()
-    assert empty.faces_by_dim() == {-1: [()]}
-    two_pts = SimplicialComplex((1, 3), [{1}, {3}])
-    faces = two_pts.faces_by_dim()
-    assert faces[-1] == [()] and faces[0] == [(1,), (3,)]
-    # facet cleanup drops dominated candidates
-    c = SimplicialComplex((1, 2, 3), [{1, 2}, {1}, {2, 3}])
-    assert set(c.facets) == {frozenset({1, 2}), frozenset({2, 3})}
+    void = SimplicialComplex(frozenset())
+    assert void.faces_by_dim() == {} and void.reduced_homology() == {}
+    empty = SimplicialComplex(frozenset({0}))
+    assert empty.faces_by_dim() == {-1: [0]}
+    assert void != empty
+    two_pts = complex_on({1}, {3})
+    assert two_pts.faces_by_dim() == {-1: [0], 0: [mask(1), mask(3)]}
+    # A facet inside another adds no face.
+    c = complex_on({1, 2}, {1}, {2, 3})
+    assert c.faces_by_dim() == {
+        -1: [0],
+        0: [mask(1), mask(2), mask(3)],
+        1: [mask(1, 2), mask(2, 3)],
+    }
 
 
 def test_reduced_homology_examples():
-    two_pts = SimplicialComplex((1, 2), [{1}, {2}])
-    assert reduced_homology_rank(two_pts, 0) == 1
-    hollow = SimplicialComplex((1, 2, 3), [{1, 2}, {1, 3}, {2, 3}])
-    assert reduced_homology_rank(hollow, 1) == 1
-    assert reduced_homology_rank(hollow, 0) == 0
-    full = SimplicialComplex((1, 2, 3), [{1, 2, 3}])
-    for i in range(-1, 3):
-        assert reduced_homology_rank(full, i) == 0
-    just_empty = SimplicialComplex((), [frozenset()])
-    assert reduced_homology_rank(just_empty, -1) == 1
+    assert complex_on({1}, {2}).reduced_homology() == {0: 1}
+    assert complex_on({1, 2}, {1, 3}, {2, 3}).reduced_homology() == {1: 1}
+    assert complex_on({1, 2, 3}).reduced_homology() == {}
+    assert SimplicialComplex(frozenset({0})).reduced_homology() == {-1: 1}
+    # The boundary of a tetrahedron: a 2-sphere.
+    sphere = complex_on(*combinations((1, 2, 3, 4), 3))
+    assert sphere.reduced_homology() == {2: 1}
 
 
 def test_upper_koszul_examples():
     I = ideal(3, (1, 0, 0), (0, 0, 1))
     c = upper_koszul(I, Monomial((1, 0, 1)))
-    assert set(c.facets) == {frozenset({1}), frozenset({3})}
+    assert c == complex_on({1}, {3})
     gen = Monomial((1, 0, 0))
     c = upper_koszul(I, gen)
-    assert c.faces_by_dim()[-1] == [()]
+    assert c.faces_by_dim()[-1] == [0]
     missing = upper_koszul(I, Monomial((0, 1, 0)))
-    assert missing.is_void()
+    assert missing == SimplicialComplex(frozenset())
+    with pytest.raises(ValueError):
+        upper_koszul(I, Monomial((1, 0)))
 
 
 def test_betti_examples():
@@ -163,12 +193,6 @@ def test_linear_resolution_degree_concentration():
                     assert b > 0 and sum(a) == d + i
 
 
-def test_field_independence_spot_check():
-    for g in [CycleLabeling(4).graph, CycleLabeling(5).graph, path(5)]:
-        I = comp_edge_ideal(g)
-        assert betti_table(I, field=0).entries == betti_table(I, field=2**31 - 1).entries
-
-
 def test_betti_table_export_shape():
     I = comp_edge_ideal(path(4))
     doc = betti_table(I).to_dict(I)
@@ -231,10 +255,26 @@ def test_lcm_lattice_independent_of_join_blocks(monkeypatch):
 def test_betti_table_returns_cached_object(monkeypatch):
     monkeypatch.setattr(homshift.betti, "_TABLE_CACHE", {})
     I = comp_power_ideal(CycleLabeling(5).graph, 2)
-    for field in (0, DEFAULT_PRIME):
-        table = betti_table(I, field)
-        assert betti_table(I, field) is table
-    assert len(homshift.betti._TABLE_CACHE) == 2
+    table = betti_table(I)
+    assert betti_table(I) is table
+    assert len(homshift.betti._TABLE_CACHE) == 1
+
+
+def test_betti_table_ranks_each_distinct_complex_once(monkeypatch):
+    I = comp_power_ideal(CycleLabeling(5).graph, 2)
+    complexes = [upper_koszul(I, a).facets for a in lcm_lattice(I)]
+    assert len(complexes) > len(set(complexes))  # some complexes repeat
+    seen = []
+    faces_by_dim = SimplicialComplex.faces_by_dim
+
+    def counting(self):
+        seen.append(self.facets)
+        return faces_by_dim(self)
+
+    monkeypatch.setattr(SimplicialComplex, "faces_by_dim", counting)
+    monkeypatch.setattr(homshift.betti, "_TABLE_CACHE", {})
+    betti_table(I)
+    assert sorted(seen, key=sorted) == sorted(set(complexes), key=sorted)
 
 
 def test_betti_table_beyond_64_variables():
@@ -244,8 +284,7 @@ def test_betti_table_beyond_64_variables():
     lcm = Monomial.from_support(n, (1, 2, 70)).exps
     want = {(0, u.exps): 1 for u in gens}
     want[(1, lcm)] = 2  # K^lcm is the three points {1}, {2}, {70}
-    for field in (0, DEFAULT_PRIME):
-        assert betti_table(MonomialIdeal(n, gens), field).entries == want
+    assert betti_table(MonomialIdeal(n, gens)).entries == want
     for n in (66, 70, 130):
         # Two disjoint edges {1, 2} and {n-1, n}: one reduced 0-cycle.
         low, high = Monomial.from_support(n, (1, 2)), Monomial.from_support(n, (n - 1, n))
@@ -254,8 +293,7 @@ def test_betti_table_beyond_64_variables():
             (0, high.exps): 1,
             (1, (low * high).exps): 1,
         }
-    two_edges = SimplicialComplex((1, 2, 129, 130), [{1, 2}, {129, 130}])
-    assert reduced_homology_rank(two_edges, 0) == 1
+    assert complex_on({1, 2}, {129, 130}).reduced_homology() == {0: 1}
 
 
 def test_gen_cap_refuses_before_lattice_work(monkeypatch):
@@ -297,7 +335,7 @@ def test_upper_koszul_matches_definition(I, extra):
     for a in lcm_lattice(I) + [Monomial(extra[: I.n])]:
         support = a.support()
         want = {
-            face
+            mask(*face)
             for k in range(len(support) + 1)
             for face in combinations(support, k)
             if a / Monomial.from_support(I.n, face) in I
@@ -348,5 +386,3 @@ def test_betti_table_matches_definition(I):
         for d, h in _homology_from_definition(faces).items():
             want[(d + 1, exps)] = h
     assert betti_table(I).entries == want
-    # Complexes on at most 5 vertices have no torsion, so F_p gives the same table.
-    assert betti_table(I, field=DEFAULT_PRIME).entries == want

@@ -4,7 +4,8 @@ import json
 import pytest
 
 from homshift import CycleLabeling, MonomialIdeal, corpus, graph_to_dict, hs_power
-from homshift.cli import main
+from homshift.betti import DEFAULT_GEN_CAP
+from homshift.cli import build_parser, main
 from homshift.graphs import relabel_graph
 
 
@@ -181,6 +182,12 @@ def test_oracle_command(capsys, p4):
     code, out, _ = run(capsys, "oracle", "--graph", p4, "--format", "json")
     doc = json.loads(out)
     assert doc["entries"] and all(r["beta"] > 0 for r in doc["entries"])
+
+
+def test_oracle_gen_cap_defaults_to_the_library_cap():
+    parser = build_parser()
+    assert parser.parse_args(["oracle", "--graph", "g.json"]).gen_cap == DEFAULT_GEN_CAP
+    assert parser.parse_args(["oracle", "--graph", "g.json", "--gen-cap", "7"]).gen_cap == 7
 
 
 def test_oracle_shift_ideal_honours_gen_cap(capsys, tmp_path, p4):

@@ -27,7 +27,6 @@ from homshift import (
     hs_linear_quotients,
     hs_oracle,
     hs_power,
-    hs_rees_containment_check,
     hs_subgraph_containment_check,
     hs_tree_formula,
     j_ideal,
@@ -260,9 +259,10 @@ def test_caterpillar_realization_against_linear_quotients():
 
 
 def test_rees_containment_examples():
-    assert hs_rees_containment_check(path(4), 1, 1)
-    assert hs_rees_containment_check(CycleLabeling(5).graph, 2, 1)
-    assert hs_rees_containment_check(CycleLabeling(4).graph, 4, 1)  # vacuous
+    # The profile asserts I * HS_i(I^{s-1}) <= HS_i(I^s) at s = 1 and s = 2.
+    assert generation_degree_profile(path(4), 1, 2) == [1]
+    assert generation_degree_profile(CycleLabeling(5).graph, 2, 2) == [1, 2]
+    assert generation_degree_profile(CycleLabeling(4).graph, 4, 2) == []  # vacuous
 
 
 def test_generation_degree_profile_examples():
