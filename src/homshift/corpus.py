@@ -65,8 +65,8 @@ def distance_labeled_trees(n: int) -> tuple[LabeledTree, ...]:
     return tuple(sorted(out, key=lambda t: t.graph.edges))
 
 
-def cycles(n_max: int, n_min: int = 3) -> tuple[CycleLabeling, ...]:
-    return tuple(CycleLabeling(n) for n in range(n_min, n_max + 1))
+def cycles(n_max: int) -> tuple[CycleLabeling, ...]:
+    return tuple(CycleLabeling(n) for n in range(3, n_max + 1))
 
 
 def _from_graph6(code: str) -> Graph:

@@ -1,5 +1,10 @@
 """Simple graphs on [n], admissible vertex labelings, and even-connected walks.
 
+One breadth-first search, ``_distances_from``, serves connectivity,
+bipartiteness, spanning trees and tree labelings.  A labeling is
+admissible (every suffix {i+1, ..., n} connected) exactly when each
+vertex v < n has a neighbor above v, so checking it needs no search.
+
 A walk certifies that two vertices j, k are "even-connected" with respect
 to a multiset of edges when it has the shape
 
@@ -59,9 +64,8 @@ class Graph:
         return len(self._adj[v])
 
     def has_edge(self, a: int, b: int) -> bool:
-        if a == b:
-            return False
-        return b in self._adj[a]
+        """False for every pair that is not an edge, vertices or not."""
+        return b in self._adj.get(a, ())
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -76,35 +80,35 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
 
 
-def is_connected(g: Graph) -> bool:
-    """True for the one-vertex graph and any graph with a single component."""
-    seen = {1}
-    queue = deque([1])
+def _distances_from(g: Graph, root: int) -> dict[int, int]:
+    """Breadth-first distances from root to every vertex of its component.
+
+    The keys come in discovery order, neighbors of a vertex in increasing
+    label order; ``spanning_tree`` and ``tree_distance_labeling`` rely on it.
+    """
+    dist = {root: 0}
+    queue = deque([root])
     while queue:
         v = queue.popleft()
         for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
+            if w not in dist:
+                dist[w] = dist[v] + 1
                 queue.append(w)
-    return len(seen) == g.n
+    return dist
+
+
+def is_connected(g: Graph) -> bool:
+    """True for the one-vertex graph and any graph with a single component."""
+    return len(_distances_from(g, 1)) == g.n
 
 
 def is_bipartite(g: Graph) -> bool:
-    color: dict[int, int] = {}
+    """No edge joins two vertices at distances of equal parity from their component's root."""
+    dist: dict[int, int] = {}
     for start in g.vertices():
-        if start in color:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
+        if start not in dist:
+            dist |= _distances_from(g, start)
+    return all(dist[a] % 2 != dist[b] % 2 for a, b in g.edges)
 
 
 def is_tree(g: Graph) -> bool:
@@ -123,24 +127,13 @@ def validate_lex_labeling(g: Graph) -> bool:
     """True when every suffix {i+1, ..., n} induces a connected subgraph.
 
     This is the labeling condition under which powers of the complementary
-    edge ideal acquire linear quotients in descending lex order.
+    edge ideal acquire linear quotients in descending lex order.  Since
+    {v, ..., n} is {v+1, ..., n} plus v, every suffix is connected exactly
+    when every vertex v < n has a neighbor above v.
     """
     if not is_connected(g):
         raise PreconditionError("lex-labeling validation requires a connected graph")
-    for i in range(1, g.n):
-        allowed = set(range(i + 1, g.n + 1))
-        start = i + 1
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if w in allowed and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        if len(seen) != len(allowed):
-            return False
-    return True
+    return all(g.neighbors(v)[-1] > v for v in range(1, g.n))
 
 
 class LabeledTree:
@@ -227,18 +220,6 @@ class CycleLabeling:
         return f"CycleLabeling({self.n})"
 
 
-def _distances_from(g: Graph, root: int) -> dict[int, int]:
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
-
-
 def tree_distance_labeling(t: Graph, root_leaf: int) -> tuple[LabeledTree, tuple[int, ...]]:
     """Relabel a tree so root_leaf becomes n and labels decrease outward.
 
@@ -251,7 +232,7 @@ def tree_distance_labeling(t: Graph, root_leaf: int) -> tuple[LabeledTree, tuple
         raise PreconditionError("distance labeling requires a tree")
     if t.n > 1 and t.degree(root_leaf) != 1:
         raise PreconditionError(f"vertex {root_leaf} is not a leaf")
-    dist = _distances_from(t, root_leaf)  # keys in breadth-first discovery order
+    dist = _distances_from(t, root_leaf)
     order = sorted(dist, key=lambda v: -dist[v])
     perm = invert_permutation(order)
     return LabeledTree(relabel_graph(t, perm)), perm
@@ -342,20 +323,15 @@ def spanning_paths_of_cycle(c: CycleLabeling) -> list[Graph]:
 
 
 def spanning_tree(g: Graph) -> Graph:
-    """A deterministic BFS spanning tree from vertex 1."""
-    if not is_connected(g):
+    """The BFS spanning tree from vertex 1.
+
+    Each vertex hangs from its earliest-discovered neighbor, which is the
+    one whose breadth-first step discovered it.
+    """
+    order = {v: rank for rank, v in enumerate(_distances_from(g, 1))}
+    if len(order) != g.n:
         raise PreconditionError("spanning tree requires a connected graph")
-    edges = []
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                edges.append((v, w))
-                queue.append(w)
-    return Graph(g.n, edges)
+    return Graph(g.n, [(min(g.neighbors(v), key=order.get), v) for v in order if v != 1])
 
 
 def relabel_graph(g: Graph, perm: tuple[int, ...]) -> Graph:

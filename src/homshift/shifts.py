@@ -134,19 +134,18 @@ def hs1_power_identity_check(g: Graph, s: int) -> bool:
     return lhs == rhs
 
 
-def _tree_parents(t: Graph, *indices: int) -> dict[int, int]:
-    """phi(k) for every non-root vertex k of a tree, once the block indices are checked.
+def _tree_parents(t: Graph, i: int) -> dict[int, int]:
+    """phi(k) for every non-root vertex k of a tree, once the block index is checked.
 
     The root is the largest leaf r; the non-root vertices are all but r
     and its neighbor, and phi(k) is the neighbor of k one step closer to
-    r.  Every index must lie in [0, n - 2].
+    r.  The index must lie in [0, n - 2].
     """
     if not is_tree(t):
         raise PreconditionError("the tree formulas require a tree")
     n = t.n
-    for i in indices:
-        if i < 0 or i > n - 2:
-            raise PreconditionError(f"index {i} outside [0, {n - 2}]")
+    if i < 0 or i > n - 2:
+        raise PreconditionError(f"index {i} outside [0, {n - 2}]")
     dist = _distances_from(t, max(v for v in t.vertices() if t.degree(v) == 1))
     # Each child of a vertex other than r: every vertex two or more steps from r.
     return {k: v for v in dist if dist[v] for k in t.neighbors(v) if dist[k] > dist[v]}
@@ -276,15 +275,16 @@ def veronese_structure_check(t: LabeledTree, i: int) -> bool:
 def _veronese_structure(t: LabeledTree, i: int) -> tuple[bool, MonomialIdeal, MonomialIdeal]:
     """The verdict of ``veronese_structure_check`` and the blocks J_i, K_i it checked.
 
-    All three blocks come from one parent map of the tree.
+    All three blocks come from one parent map of the tree: phi on [n-2],
+    read from ``t.parent`` without its last entry phi(n-1) = n.
     """
     n = t.n
     if not 1 <= i <= n - 2:
         raise PreconditionError(f"index {i} outside [1, {n - 2}]")
+    parent = dict(enumerate(t.parent[:-1], start=1))
     b = [0] * n
-    for j in range(1, n - 1):
-        b[t.phi(j) - 1] += 1
-    parent = _tree_parents(t.graph, i, n - 2 - i)
+    for p in parent.values():
+        b[p - 1] += 1
     j, k = _j_block(parent, n, i), _k_block(parent, n, i)
     ok_veronese = k == veronese_type(VeroneseSpec(tuple(b), i))
     lhs = j.scaled(Monomial(b))

@@ -1,7 +1,8 @@
 import os
+import random
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, deque
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from pathlib import Path
@@ -25,16 +26,96 @@ from homshift import (
     is_tree,
     lex_labeled_copy,
     spanning_paths_of_cycle,
+    spanning_tree,
     tree_distance_labeling,
     validate_lex_labeling,
 )
 from homshift.corpus import connected_graphs, distance_labeled_trees
+from homshift.graphs import relabel_graph
 
 CATALOG = Path(__file__).resolve().parents[1] / "src" / "homshift" / "_catalog.py"
 
 
 def path(n):
     return Graph(n, [(i, i + 1) for i in range(1, n)])
+
+
+# ---------------------------------------------------------------------------
+# reference definitions of the searches, each written out in full
+# ---------------------------------------------------------------------------
+
+
+def reachable_count(g, start=1):
+    """How many vertices a depth-first walk from start reaches."""
+    seen, stack = {start}, [start]
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen)
+
+
+def two_colorable(g):
+    """Whether some 0/1 coloring gives every edge two colors, grown from each uncolored vertex."""
+    color = {}
+    for start in g.vertices():
+        if start in color:
+            continue
+        color[start], stack = 0, [start]
+        while stack:
+            v = stack.pop()
+            for w in g.neighbors(v):
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    stack.append(w)
+                elif color[w] == color[v]:
+                    return False
+    return True
+
+
+def suffixes_connected(g):
+    """Whether each suffix {i+1, ..., n} is connected, by one search inside each suffix."""
+    for i in range(1, g.n):
+        seen, stack = {i + 1}, [i + 1]
+        while stack:
+            for w in g.neighbors(stack.pop()):
+                if w > i and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != g.n - i:
+            return False
+    return True
+
+
+def queue_bfs_tree(g):
+    """The tree of the edges along which a queue-driven search from 1 first reaches each vertex."""
+    edges, seen, queue = [], {1}, deque([1])
+    while queue:
+        v = queue.popleft()
+        for w in g.neighbors(v):
+            if w not in seen:
+                seen.add(w)
+                edges.append((v, w))
+                queue.append(w)
+    return Graph(g.n, edges)
+
+
+@lru_cache(maxsize=None)
+def search_inputs() -> tuple[Graph, ...]:
+    """Every connected catalog graph on at most 6 vertices under 3 seeded relabelings,
+    then 120 seeded random graphs on 1..8 vertices, many of them disconnected."""
+    rng = random.Random(20251018)
+    out = []
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            for _ in range(3):
+                out.append(relabel_graph(g, tuple(rng.sample(range(1, n + 1), n))))
+    for _ in range(120):
+        n, p = rng.randint(1, 8), rng.random()
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        out.append(Graph(n, [e for e in pairs if rng.random() < p]))
+    return tuple(out)
 
 
 def test_graph_validation():
@@ -51,6 +132,33 @@ def test_is_connected_examples():
     assert is_connected(path(3))
     assert not is_connected(Graph(4, [(1, 2), (3, 4)]))
     assert is_connected(Graph(1, []))
+    verdicts = [is_connected(g) for g in search_inputs()]
+    assert verdicts == [reachable_count(g) == g.n for g in search_inputs()]
+    assert False in verdicts
+
+
+def test_has_edge_is_false_for_any_non_edge():
+    c5 = CycleLabeling(5).graph
+    assert c5.has_edge(1, 2) and c5.has_edge(2, 1) and c5.has_edge(5, 1)
+    for a, b in [(9, 1), (1, 9), (0, 3), (3, 0), (9, 9), (2, 2), (1, 3)]:
+        assert not c5.has_edge(a, b)
+    # A multiset edge that is not a graph edge is refused in either order.
+    for bad in [(9, 1), (1, 9)]:
+        with pytest.raises(ValueError, match="not an edge of the host graph"):
+            even_connection_walk(c5, 1, 3, (bad,))
+
+
+def test_spanning_tree_is_the_queue_built_bfs_tree():
+    trees = 0
+    for g in search_inputs():
+        if reachable_count(g) == g.n:
+            t = spanning_tree(g)
+            assert t == queue_bfs_tree(g) and is_tree(t)
+            trees += 1
+        else:
+            with pytest.raises(PreconditionError):
+                spanning_tree(g)
+    assert 0 < trees < len(search_inputs())
 
 
 def test_is_bipartite_examples():
@@ -59,6 +167,9 @@ def test_is_bipartite_examples():
     for n in range(2, 7):
         for t in distance_labeled_trees(n):
             assert is_bipartite(t.graph)
+    verdicts = [is_bipartite(g) for g in search_inputs()]
+    assert verdicts == [two_colorable(g) for g in search_inputs()]
+    assert True in verdicts and False in verdicts
 
 
 def test_validate_lex_labeling_examples():
@@ -69,6 +180,15 @@ def test_validate_lex_labeling_examples():
         assert validate_lex_labeling(CycleLabeling(n).graph)
     with pytest.raises(PreconditionError):
         validate_lex_labeling(Graph(4, [(1, 2), (3, 4)]))
+    verdicts = []
+    for g in search_inputs():
+        if reachable_count(g) == g.n:
+            verdicts.append(validate_lex_labeling(g))
+            assert verdicts[-1] == suffixes_connected(g)
+        else:
+            with pytest.raises(PreconditionError):
+                validate_lex_labeling(g)
+    assert True in verdicts and False in verdicts
 
 
 def test_tree_distance_labeling_path():

@@ -299,6 +299,10 @@ def test_subgraph_containment_examples():
     assert hs_subgraph_containment_check(path(4), [2, 3, 4], [(2, 3), (3, 4)], 1, 1)
     with pytest.raises(PreconditionError):
         hs_subgraph_containment_check(path(4), [1, 4], [(1, 4)], 1, 1)
+    # An endpoint outside the host graph is refused in either order.
+    for bad in [(9, 1), (1, 9)]:
+        with pytest.raises(PreconditionError):
+            hs_subgraph_containment_check(c5, [1, 2, 3], [bad, (1, 2)], 1, 1)
 
 
 def test_hs_closed_form_dispatch():
