@@ -9,13 +9,19 @@ quotients in descending lex order, and set(u) collects the variables
 generating each successive colon ideal.  Any connected graph is worked on
 in its own labels: the variable order is descending lex under the
 permutation of ``lex_labeled_copy(g)``, which is x1 > ... > xn when the
-labels are already suffix-connected.  Powers are enumerated once per
-edge multiset, keeping one Factorization per monomial.  Set maps come from
-a hash lookup of (u / x_k) * x_j among the earlier generators.  Row
-bitsets then confirm that every colon is generated by those variables:
-per variable j and exponent e, one Python int marks the generators
-exceeding e in x_j, built once per set map with ``np.packbits``, so each
-generator's check is a few integer ORs.
+labels are already suffix-connected.
+
+Both steps key monomials by exact Python integers, never by exponent
+tuples: a vector with entries at most b - 1 is read as a base-b number.
+Powers are enumerated once per edge multiset, keyed by its degree vector
+(each degree at most s, so base s + 1, digits in the variable order);
+ascending keys are then descending lex order, and the first multiset per
+key is kept.  Set maps come from a hash lookup of (u / x_k) * x_j among the
+earlier generators, where the key of u / x_k is the key of u minus the
+weight of x_k.  Row bitsets then confirm that every colon is generated by
+those variables: per variable j and exponent e, one Python int marks the
+generators exceeding e in x_j, built once per set map with
+``np.packbits``, so each generator's check is a few integer ORs.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
+from operator import mul
 from typing import Iterable
 
 import numpy as np
@@ -33,8 +40,8 @@ from .graphs import (
     Edge,
     Graph,
     LabeledTree,
-    even_connected,
-    invert_permutation,
+    _check_multiset,
+    _even_walk,
     is_connected,
     is_cycle_graph,
     is_tree,
@@ -62,7 +69,7 @@ def _power_exponents(g: Graph, multiset: tuple) -> tuple[int, ...]:
     return tuple(exps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Factorization:
     """A power generator: alpha^s divided by the product of the s edges in ``edges``.
 
@@ -89,22 +96,34 @@ def power_generators(g: Graph, s: int) -> tuple[Factorization, ...]:
     Everything stays in g's labels; only the variable order comes from the
     permutation perm of ``lex_labeled_copy(g)``: monomials are listed in
     descending lex order of their images under perm, which is x1 > ... > xn
-    for suffix-connected labels.  Distinct multisets can collide on the
-    same monomial (e.g. the two alternating perfect matchings of an even
-    cycle); the multiset whose image under perm is lexicographically
-    smallest is kept as the canonical expression.  Enumerating the edges
-    sorted by their images makes that the first multiset reached.
+    for suffix-connected labels.
+
+    Each edge multiset M is keyed by an exact integer: vertex v weighs
+    (s+1)^(n - perm[v]), an edge weighs the sum of its two ends, and M the
+    sum of its edges.  The key is then the degree vector of M (each degree
+    at most s) written in base s+1 with digits in perm order, so it is
+    unique per monomial, and since x_v has exponent s minus the degree of
+    v, ascending keys are descending lex order of the monomials.
+    Distinct multisets can collide on the same monomial (e.g. the two
+    alternating perfect matchings of an even cycle); the multiset whose
+    image under perm is lexicographically smallest is kept as the canonical
+    expression.  Enumerating the edges by descending weight, which is
+    ascending lex order of their images, makes that the first multiset
+    reached.
     """
     _check_power_args(g, s)
     _, perm = lex_labeled_copy(g)
-    edges = sorted(g.edges, key=lambda e: sorted(perm[v - 1] for v in e))
-    first: dict[tuple[int, ...], tuple] = {}
-    for multiset in combinations_with_replacement(edges, s):
-        first.setdefault(_power_exponents(g, multiset), multiset)
-    order = invert_permutation(perm)
+    vertex = {v: (s + 1) ** (g.n - perm[v - 1]) for v in g.vertices()}
+    weight = {(a, b): vertex[a] + vertex[b] for a, b in g.edges}
+    edges = sorted(g.edges, key=weight.__getitem__, reverse=True)
+    keys = map(sum, combinations_with_replacement([weight[e] for e in edges], s))
+    first: dict[int, tuple[Edge, ...]] = {}
+    for _ in map(first.setdefault, keys, combinations_with_replacement(edges, s)):
+        pass
+    kept = [first[key] for key in sorted(first)]
+    monomials = Monomial._wrap_all([_power_exponents(g, multiset) for multiset in kept])
     return tuple(
-        Factorization(Monomial(exps), tuple(sorted(first[exps])))
-        for exps in sorted(first, key=lambda e: [e[v - 1] for v in order], reverse=True)
+        Factorization(m, tuple(sorted(multiset))) for m, multiset in zip(monomials, kept)
     )
 
 
@@ -127,6 +146,24 @@ class SetMap:
         exps = exps.astype(np.min_scalar_type(int(exps.max(initial=0))))
         exps.flags.writeable = False
         return exps
+
+    @cached_property
+    def set_columns(self) -> np.ndarray:
+        """Each set(u) as its sorted 0-based columns, one row per generator, read-only.
+
+        Rows shorter than the largest set(u) are padded with -1.  Built on
+        first use in the smallest signed dtype that fits and, like ``exps``,
+        not a field.
+        """
+        width = max(map(len, self.sets), default=0)
+        # Padding with 0 before the shift to 0-based columns makes it -1.
+        padded = {su: sorted(su) + [0] * (width - len(su)) for su in set(self.sets)}
+        cols = np.array(
+            [padded[su] for su in self.sets], dtype=np.min_scalar_type(-max(self.n, 1))
+        ).reshape(len(self.sets), width)
+        cols -= 1
+        cols.flags.writeable = False
+        return cols
 
     @property
     def n(self) -> int:
@@ -157,6 +194,11 @@ def set_map_colon(ordered: Iterable[Monomial]) -> SetMap:
     otherwise).  Then u_t / gcd(u_t, u) has degree 1 exactly when
     u_t = (u / x_k) * x_j, so set(u) collects the x_j found by looking up
     each u / x_k among the earlier generators divided by one variable.
+    The lookup is keyed by exact integers: with top the largest exponent,
+    key(u) = sum of u_k * (top+1)^k has the exponents of u as its base-(top+1)
+    digits, so distinct monomials get distinct keys at any n, and
+    key(u / x_k) = key(u) - (top+1)^k costs one subtraction.  Generators
+    with the same set(u) share one frozenset.
 
     Verifies the linear-quotients property along the way: each colon
     (u_1, ..., u_{i-1}) : (u_i) must be generated by variables, i.e. every
@@ -178,17 +220,25 @@ def set_map_colon(ordered: Iterable[Monomial]) -> SetMap:
     if len({sum(g.exps) for g in gens}) != 1:
         raise PreconditionError("set_map_colon needs generators of a single degree")
     n = gens[0].n
-    above = _above_bitsets(_exponent_matrix(gens, n))
-    # below[w] has bit j set when w * x_j is an earlier generator.
-    below: dict[tuple[int, ...], int] = {}
+    exps = _exponent_matrix(gens, n)
+    above = _above_bitsets(exps)
+    weight = [(int(exps.max(initial=0)) + 1) ** k for k in range(n)]
+    # below[key(w)] has bit j set when w * x_j is an earlier generator.
+    below: dict[int, int] = {}
+    # The columns and the frozenset of each distinct set(u), keyed by its bitmask.
+    shared: dict[int, tuple[list[int], frozenset[int]]] = {}
     sets: list[frozenset[int]] = []
     for i, g in enumerate(gens):
         u = g.exps
-        drops = [(u[:k] + (u[k] - 1,) + u[k + 1 :], k) for k in range(n) if u[k]]
+        key = sum(map(mul, u, weight))
+        drops = [(key - weight[k], 1 << k) for k in range(n) if u[k]]
         mask = 0
         for w, _ in drops:
             mask |= below.get(w, 0)
-        found = [j for j in range(n) if mask >> j & 1]
+        if mask not in shared:
+            found = [j for j in range(n) if mask >> j & 1]
+            shared[mask] = found, frozenset(j + 1 for j in found)
+        found, su = shared[mask]
         # Linear quotients: every earlier u_t exceeds u in some variable of set(u).
         covered = 0
         for j in found:
@@ -196,9 +246,9 @@ def set_map_colon(ordered: Iterable[Monomial]) -> SetMap:
         earlier = (1 << i) - 1
         if covered & earlier != earlier:
             raise NotLinearQuotientsError(i, g)
-        sets.append(frozenset(j + 1 for j in found))
-        for w, k in drops:
-            below[w] = below.get(w, 0) | 1 << k
+        sets.append(su)
+        for w, bit in drops:
+            below[w] = below.get(w, 0) | bit
     return SetMap(gens, tuple(sets))
 
 
@@ -207,20 +257,22 @@ def set_via_even_connected(g: Graph, edges: tuple[Edge, ...]) -> frozenset[int]:
 
     For u = alpha^s / (product of ``edges``), a vertex i qualifies when some
     edge {i, j} of the list admits a k > i with {j, k} an edge of g or j
-    even-connected to k with respect to the remaining edges.
+    even-connected to k with respect to the remaining edges.  One walk
+    search per (i, j) looks for any end vertex above i at once.
     """
+    _check_multiset(g, edges)
     support = set(edges)
     result = set()
-    for i in sorted({v for e in support for v in e}):
+    # No vertex lies above n, so n never qualifies.
+    for i in sorted({v for e in support for v in e} - {g.n}):
         for e in support:
             if i not in e:
                 continue
             j = e[0] if e[1] == i else e[1]
             at = edges.index(e)
             rest = edges[:at] + edges[at + 1 :]
-            if any(k > i for k in g.neighbors(j)) or any(
-                even_connected(g, j, k, rest) for k in range(i + 1, g.n + 1)
-            ):
+            # Neighbors are sorted, so the last one is the largest.
+            if g.neighbors(j)[-1] > i or _even_walk(g, j, lambda v: v > i, rest) is not None:
                 result.add(i)
                 break
     return frozenset(result)

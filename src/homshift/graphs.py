@@ -19,7 +19,7 @@ in colon ideals of edge-ideal powers.
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import InputFormatError, PreconditionError
 
@@ -238,26 +238,29 @@ def tree_distance_labeling(t: Graph, root_leaf: int) -> tuple[LabeledTree, tuple
     return LabeledTree(relabel_graph(t, perm)), perm
 
 
-def even_connection_walk(
-    g: Graph, j: int, k: int, edges: tuple[Edge, ...]
-) -> list[int] | None:
-    """A witness walk even-connecting j to k with respect to an edge multiset, or None.
-
-    ``edges`` lists the multiset's edges with repeats; each must be an edge
-    of g (ValueError otherwise).  The returned walk alternates free graph
-    edges with multiset edges and uses at least one multiset edge, so it
-    always has even vertex count >= 4 and odd length.
-    """
+def _check_multiset(g: Graph, edges: tuple[Edge, ...]) -> None:
     for e in edges:
         if not g.has_edge(*e):
             raise ValueError(f"edge {e} is not an edge of the host graph")
+
+
+def _even_walk(
+    g: Graph, j: int, is_end: Callable[[int], bool], edges: tuple[Edge, ...]
+) -> list[int] | None:
+    """The first walk in search order even-connecting j to a vertex v with is_end(v), or None.
+
+    The one depth-first search behind ``even_connection_walk`` and
+    ``edge_ideals.set_via_even_connected``.  A state is the current vertex,
+    the unused multiplicities and whether a multiset edge was used; a
+    state that failed once fails again, since ``is_end`` is fixed.
+    """
     if not edges:
         return None
     failed: set[tuple] = set()
 
     def search(v: int, counts: tuple, used: bool) -> list[int] | None:
         # ``v`` sits just after a free edge; next step must come from the multiset.
-        if used and v == k:
+        if used and is_end(v):
             return [v]
         key = (v, counts, used)
         if key in failed:
@@ -282,6 +285,24 @@ def even_connection_walk(
         if tail is not None:
             return [j] + tail
     return None
+
+
+def even_connection_walk(
+    g: Graph, j: int, k: int, edges: tuple[Edge, ...]
+) -> list[int] | None:
+    """A witness walk even-connecting j to k with respect to an edge multiset, or None.
+
+    ``edges`` lists the multiset's edges with repeats; each must be an edge
+    of g, and j and k must be vertices of g (ValueError otherwise).  The
+    returned walk alternates free graph edges with multiset edges and uses
+    at least one multiset edge, so it always has even vertex count >= 4
+    and odd length.
+    """
+    for v in (j, k):
+        if not 1 <= v <= g.n:
+            raise ValueError(f"end vertex {v} outside vertex range [1, {g.n}]")
+    _check_multiset(g, edges)
+    return _even_walk(g, j, lambda v: v == k, edges)
 
 
 def even_connected(g: Graph, j: int, k: int, edges: tuple[Edge, ...]) -> bool:

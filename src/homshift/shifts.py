@@ -64,8 +64,9 @@ from .monomials import (
 def hs_linear_quotients(sm: SetMap, i: int) -> MonomialIdeal:
     """HS_i from a linear-quotients set map: all x_F * u with F in set(u).
 
-    Generators are grouped by |set(u)|; each class adds its one-hot x_F
-    rows to the repeated exponent rows by one fancy-indexed update.
+    Generators are grouped by |set(u)|, read off ``sm.set_columns``; each
+    class adds its one-hot x_F rows to the repeated exponent rows by one
+    fancy-indexed update.
     """
     n = sm.n
     if i < 0:
@@ -74,11 +75,12 @@ def hs_linear_quotients(sm: SetMap, i: int) -> MonomialIdeal:
         return MonomialIdeal(n, sm.gens)
     gens = sm.exps.astype(np.int64)
     _check_int64(n, int(gens.max(initial=0)) + 1)
-    sizes = np.array([len(su) for su in sm.sets], dtype=np.int64)
+    cols = sm.set_columns
+    sizes = np.count_nonzero(cols >= 0, axis=1)
     blocks = []
     for c in sorted(set(sizes[sizes >= i].tolist())):
         members = np.flatnonzero(sizes == c)
-        sets = np.array([tuple(sm.sets[k]) for k in members.tolist()], dtype=np.intp) - 1
+        sets = cols[members, :c].astype(np.intp)
         combos = list(combinations(range(c), i))
         # Row r * len(combos) + f gets x_F for F the f-th i-subset of set(u_r).
         picks = sets[:, combos].reshape(-1, i)

@@ -2,6 +2,7 @@ from datetime import timedelta
 from itertools import combinations_with_replacement, product
 from math import comb, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ from homshift import (
     set_via_even_connected,
 )
 from homshift.corpus import connected_graphs, distance_labeled_trees
-from homshift.graphs import tree_distance_labeling
+from homshift.graphs import lex_labeled_copy, tree_distance_labeling
 from homshift.monomials import Monomial
 
 
@@ -116,6 +117,69 @@ def test_factorization_invariants():
             assert f.monomial == Monomial.uniform(g.n, s) / _edge_product(g.n, f.edges)
 
 
+@st.composite
+def named_connected_graphs(draw):
+    """A random connected graph on 2 to 7 vertices under random vertex names."""
+    n = draw(st.integers(2, 7))
+    names = draw(st.permutations(range(1, n + 1)))
+    # Each vertex after the first hangs off an earlier one; then some chords.
+    edges = {(names[k], names[draw(st.integers(0, k - 1))]) for k in range(1, n)}
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    return Graph(n, edges)
+
+
+def _first_multisets_in_lex_order(g, s):
+    """Power generators by their definition, with exponent tuples as keys.
+
+    The edges are ordered by their images under perm, the first multiset
+    reached per monomial is kept, and the monomials are sorted by
+    descending lex order of their images under perm.
+    """
+    _, perm = lex_labeled_copy(g)
+    edges = sorted(g.edges, key=lambda e: sorted(perm[v - 1] for v in e))
+    first = {}
+    for multiset in combinations_with_replacement(edges, s):
+        exps = [s] * g.n
+        for a, b in multiset:
+            exps[a - 1] -= 1
+            exps[b - 1] -= 1
+        first.setdefault(tuple(exps), multiset)
+
+    def image(exps):
+        out = [0] * g.n
+        for v, e in enumerate(exps, start=1):
+            out[perm[v - 1] - 1] = e
+        return out
+
+    return [(exps, tuple(sorted(first[exps]))) for exps in sorted(first, key=image, reverse=True)]
+
+
+@settings(derandomize=True, max_examples=120, deadline=timedelta(seconds=5), database=None)
+@given(named_connected_graphs(), st.integers(1, 3))
+def test_power_generators_match_tuple_keyed_enumeration(g, s):
+    facts = power_generators(g, s)
+    assert [(f.monomial.exps, f.edges) for f in facts] == _first_multisets_in_lex_order(g, s)
+
+
+def test_power_keys_past_int64():
+    # Keys of P45 at s = 2 reach 3^44 in both the enumeration and the colon sweep.
+    g, s = path(45), 2
+    assert 3**44 > 2**63
+    facts = power_generators(g, s)
+    exps = [f.monomial.exps for f in facts]
+    # On a tree every edge multiset gives its own monomial.
+    assert len(facts) == comb(len(g.edges) + s - 1, s)
+    assert exps == sorted(set(exps), reverse=True)
+    t, perm = tree_distance_labeling(g, g.n)
+    assert t.graph == g and perm == tuple(g.vertices())
+    sm = power_set_map(g, s)
+    assert [u.exps for u in sm.gens] == exps
+    for f, su in zip(facts, sm.sets):
+        assert su == set_tree(t, f.edges) == set_via_even_connected(g, f.edges)
+    assert pd_linear_quotients(sm) == pd_formula(g, s) == 2
+
+
 def test_lex_order_examples():
     # power_generators lists monomials in descending lex order; for these
     # suffix-connected labels the variable order is x1 > ... > xn.
@@ -183,6 +247,28 @@ def test_set_map_keeps_its_exponent_matrix():
     huge = SetMap((Monomial((2**63, 0)),), (frozenset({2}),))
     with pytest.raises(OverflowError):
         hs_linear_quotients(huge, 1)
+
+
+def test_set_map_keeps_its_set_columns():
+    sm = power_set_map(CycleLabeling(5).graph, 2)
+    bare = SetMap(sm.gens, sm.sets)
+    # Built on first use, not at construction.
+    assert "set_columns" not in vars(bare)
+    cols = bare.set_columns
+    assert "set_columns" in vars(bare) and bare.set_columns is cols
+    width = max(len(su) for su in sm.sets)
+    assert cols.shape == (len(sm.sets), width)
+    assert cols.tolist() == [sorted(v - 1 for v in su) + [-1] * (width - len(su)) for su in sm.sets]
+    assert cols.dtype == np.int8 and not cols.flags.writeable
+    with pytest.raises(ValueError):
+        cols[0, 0] = 0
+    # Not a field: no part of eq, hash or repr.
+    assert bare == sm and hash(bare) == hash(sm) and repr(bare) == repr(sm)
+    assert "set_columns" not in repr(bare)
+    assert SetMap((), ()).set_columns.shape == (0, 0)
+    # The dtype is the smallest signed one that holds n - 1.
+    wide = SetMap((Monomial((0,) * 199 + (1,)),), (frozenset({1, 200}),))
+    assert wide.set_columns.dtype == np.int16 and wide.set_columns.tolist() == [[0, 199]]
 
 
 @st.composite

@@ -267,6 +267,21 @@ def test_even_connected_cycle_example():
         even_connection_walk(c4, 4, 3, ((1, 2), (1, 3)))
 
 
+def test_even_connection_walk_refuses_end_vertices_outside_the_graph():
+    c5 = CycleLabeling(5).graph
+    edges = ((1, 2),)
+    # The same refusal in either end position, whether or not a walk could exist.
+    for j, k in [(1, 9), (9, 1), (0, 1), (1, 0), (6, 6), (-1, 3)]:
+        with pytest.raises(ValueError, match="outside vertex range"):
+            even_connection_walk(c5, j, k, edges)
+        with pytest.raises(ValueError, match="outside vertex range"):
+            even_connected(c5, j, k, edges)
+    # Refused before the multiset is looked at, even when it is empty.
+    with pytest.raises(ValueError, match="outside vertex range"):
+        even_connection_walk(c5, 9, 1, ())
+    assert even_connection_walk(c5, 1, 5, edges) == [1, 2, 1, 5]
+
+
 def test_even_connected_tree_never_closes():
     for n in range(2, 6):
         for t in distance_labeled_trees(n):
