@@ -328,10 +328,7 @@ def main(argv=None) -> int:
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except PreconditionError as exc:
-        print(f"precondition violation: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except OracleCapError as exc:
+    except (PreconditionError, OracleCapError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

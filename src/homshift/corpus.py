@@ -32,6 +32,7 @@ from .edge_ideals import (
     set_tree,
     set_via_even_connected,
 )
+from .errors import PreconditionError
 from .graphs import (
     Graph,
     LabeledTree,
@@ -45,9 +46,8 @@ from .shifts import (
     _veronese_structure,
     caterpillar_realization,
     check_hs_maximal_identity,
-    hs_cycle_formula,
+    hs_closed_form,
     hs_linear_quotients,
-    hs_tree_formula,
 )
 
 
@@ -140,12 +140,12 @@ def check_set_maps(x: LabeledTree | CycleLabeling, s: int) -> dict:
 
 
 def check_hs_formulas(x: LabeledTree | CycleLabeling, i: int, s: int) -> dict:
-    """The tree/cycle closed form of HS_i(I^s) equals the linear-quotient one."""
-    if isinstance(x, LabeledTree):
-        kind, lhs = "tree", hs_tree_formula(x.graph, i, s)
-    else:
-        kind, lhs = "cycle", hs_cycle_formula(x.graph, i, s)
+    """The closed form of HS_i(I^s) from ``hs_closed_form`` equals the linear-quotient one."""
+    lhs = hs_closed_form(x.graph, i, s)
+    if lhs is None:
+        raise PreconditionError(f"no closed form for HS_{i} of power {s} of {x!r}")
     rhs = hs_linear_quotients(power_set_map(x.graph, s), i)
+    kind = "tree" if isinstance(x, LabeledTree) else "cycle"
     return _record(
         f"hs-formulas/{kind}", x, {"i": i, "s": s}, lhs == rhs, lhs.num_gens(), rhs.num_gens()
     )

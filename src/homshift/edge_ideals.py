@@ -280,6 +280,7 @@ def set_via_even_connected(g: Graph, edges: tuple[Edge, ...]) -> frozenset[int]:
 
 def set_tree(t: LabeledTree, edges: tuple[Edge, ...]) -> frozenset[int]:
     """set(u) for a tree power generator: edge minima, excluding n - 1."""
+    _check_multiset(t.graph, edges)
     mins = {min(e) for e in edges}
     mins.discard(t.n - 1)
     return frozenset(mins)
@@ -288,33 +289,21 @@ def set_tree(t: LabeledTree, edges: tuple[Edge, ...]) -> frozenset[int]:
 def set_cycle(c: CycleLabeling, edges: tuple[Edge, ...]) -> frozenset[int]:
     """set(u) for a cycle power generator from the two alternating edge chains.
 
-    The first chain e1, e3, ..., e_{2l-1} contributes [2l] for the largest
-    admissible l; the chain e0, e2, ..., e_{2l} contributes [2l+1]; edge
-    minima (minus n - 1) contribute the rest.  Empty admissible ranges and
-    missing chain heads contribute nothing.
+    Each chain, e1, e3, ... and e0, e2, ..., counts its leading edges in
+    the support, up to (n - 1) // 2; a count of l gives [2l] on the first
+    chain and [2l - 1] on the second.  Edge minima (minus n - 1) give the rest.
     """
-    n = c.n
-    m = n // 2
+    _check_multiset(c.graph, edges)
     support = set(edges)
-
-    def chain_component(start: int, n_edges, max_l: int, size) -> set[int]:
-        best = 0
-        for l in range(1, max_l + 1):
-            chain = {c.edge(start + 2 * t) for t in range(n_edges(l))}
-            if chain <= support:
-                best = l
-        return set(range(1, size(best) + 1)) if best else set()
-
-    # The chain e1, e3, ..., e_{2l-1} has l edges; e0, e2, ..., e_{2l} has l + 1.
-    if n % 2 == 0:
-        n1 = chain_component(1, lambda l: l, m - 1, lambda l: 2 * l)
-        n2 = chain_component(0, lambda l: l + 1, m - 2, lambda l: 2 * l + 1)
-    else:
-        n1 = chain_component(1, lambda l: l, m, lambda l: 2 * l)
-        n2 = chain_component(0, lambda l: l + 1, m - 1, lambda l: 2 * l + 1)
+    cap = (c.n - 1) // 2
+    # Chains grow by prefixes, so the first missing edge ends each count.
+    odd, even = (
+        next((l for l in range(cap) if c.edge(start + 2 * l) not in support), cap)
+        for start in (1, 0)
+    )
     mins = {min(e) for e in support}
-    mins.discard(n - 1)
-    return frozenset(n1 | n2 | mins)
+    mins.discard(c.n - 1)
+    return frozenset(range(1, max(2 * odd, 2 * even - 1) + 1)) | mins
 
 
 def pd_linear_quotients(sm: SetMap) -> int:
@@ -350,14 +339,14 @@ def pd_of_power(g: Graph, s: int) -> int:
 
 
 def pd_formula(g: Graph, s: int) -> int:
-    """Closed-form pd of the s-th power for trees and cycles only."""
+    """Closed-form pd of the s-th power for trees and cycles only.
+
+    min(s, n - 2) for trees; min(2s, 2l) for cycles, l = (n - 1) // 2.
+    """
     if s < 1:
         raise PreconditionError("power must be at least 1")
     if is_tree(g):
         return min(s, g.n - 2)
     if is_cycle_graph(g):
-        m = g.n // 2
-        if g.n % 2 == 0:
-            return min(2 * s, 2 * m - 2)
-        return min(2 * s, 2 * m)
+        return min(2 * s, 2 * ((g.n - 1) // 2))
     raise PreconditionError("closed-form pd is only available for trees and cycles")

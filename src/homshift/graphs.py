@@ -18,7 +18,9 @@ in colon ideals of edge-ideal powers.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, deque
+from itertools import accumulate
 from typing import Callable, Iterable
 
 from .errors import InputFormatError, PreconditionError
@@ -139,8 +141,9 @@ def validate_lex_labeling(g: Graph) -> bool:
 class LabeledTree:
     """A tree whose labels already satisfy the distance discipline.
 
-    Labels are non-increasing in distance to the root leaf n, so each
-    vertex j < n has a unique neighbor phi(j) > j (its parent).
+    Labels are non-increasing in distance to the root leaf n, and each
+    vertex j < n has a neighbor above j.  A tree has one edge per vertex
+    below n, so that neighbor is unique: the parent phi(j) = neighbors(j)[-1].
     """
 
     __slots__ = ("graph", "parent")
@@ -151,18 +154,15 @@ class LabeledTree:
         n = graph.n
         if n >= 2 and graph.degree(n) != 1:
             raise ValueError(f"vertex {n} must be a leaf")
-        parent = []
-        for j in range(1, n):
-            larger = [w for w in graph.neighbors(j) if w > j]
-            if len(larger) != 1:
-                raise ValueError(f"vertex {j} has {len(larger)} neighbors above it")
-            parent.append(larger[0])
+        if not validate_lex_labeling(graph):
+            raise ValueError("some vertex below n has no neighbor above it")
         dist = _distances_from(graph, n)
         for j in range(1, n - 1):
             if dist[j] < dist[j + 1]:
                 raise ValueError("labels are not non-increasing in distance to the root")
+        parent = tuple(graph.neighbors(j)[-1] for j in range(1, n))
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "parent", tuple(parent))
+        object.__setattr__(self, "parent", parent)
 
     @property
     def n(self) -> int:
@@ -313,27 +313,17 @@ def even_connected(g: Graph, j: int, k: int, edges: tuple[Edge, ...]) -> bool:
 def caterpillar_from_profile(a: Iterable[int]) -> LabeledTree:
     """The caterpillar tree whose spine vertices collect a_1, a_2, ... children.
 
-    With partial sums s_k = a_1 + ... + a_k, the spine is
-    s_1+1, s_2+1, ..., s_n+1, s_n+2; vertex s_1+1 carries leaves 1..s_1 and
-    each later spine vertex s_i+1 carries leaves s_{i-1}+2..s_i.  The
-    resulting parent map sends exactly a_j vertices to spine vertex s_j+1.
+    With partial sums s_k = a_1 + ... + a_k, the spine is s_1+1, ..., s_r+1,
+    s_r+2, and every vertex but the last hangs from the first spine vertex
+    above it, so exactly a_j vertices (s_{j-1}+1, ..., s_j) hang from s_j+1.
     """
     profile = tuple(int(x) for x in a)
     if not profile or any(x < 1 for x in profile):
         raise PreconditionError(f"profile must be nonempty with positive entries: {profile}")
-    sigma = [0]
-    for x in profile:
-        sigma.append(sigma[-1] + x)
-    total = sigma[-1]
-    n_vertices = total + 2
-    spine = [sigma[k] + 1 for k in range(1, len(profile) + 1)] + [total + 2]
-    edges = list(zip(spine, spine[1:]))
-    edges.extend((leaf, spine[0]) for leaf in range(1, sigma[1] + 1))
-    for i in range(2, len(profile) + 1):
-        edges.extend(
-            (leaf, sigma[i] + 1) for leaf in range(sigma[i - 1] + 2, sigma[i] + 1)
-        )
-    return LabeledTree(Graph(n_vertices, edges))
+    spine = [total + 1 for total in accumulate(profile)]
+    spine.append(spine[-1] + 1)
+    n = spine[-1]
+    return LabeledTree(Graph(n, [(v, spine[bisect_right(spine, v)]) for v in range(1, n)]))
 
 
 def spanning_paths_of_cycle(c: CycleLabeling) -> list[Graph]:

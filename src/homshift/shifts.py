@@ -9,7 +9,7 @@ complementary edge ideals this module also evaluates the closed forms
            the vertices other than r and its neighbor, phi(k) the parent
            of k toward r; valid for 1 <= i <= s;
 
-  cycles:  HS_i(I^s) = sum over k from max(i - ceil(n/2) + 1, 0) to
+  cycles:  HS_i(I^s) = sum over k from max(i - (n - 1) // 2, 0) to
            floor(i/2) of (alpha^{i-k} / x_F) * I^{s-i+k} with |F| = i - 2k,
            valid for 1 <= i < n and s >= floor(i/2);
 
@@ -204,7 +204,7 @@ def hs_cycle_formula(c: Graph, i: int, s: int) -> MonomialIdeal:
     if s < i // 2:
         raise PreconditionError(f"cycle formula needs s >= floor(i/2), got s={s}")
     terms = []
-    for k in range(max(i - (n + 1) // 2 + 1, 0), i // 2 + 1):
+    for k in range(max(i - (n - 1) // 2, 0), i // 2 + 1):
         power = comp_power_ideal(c, s - i + k)
         if power.is_zero():
             continue
@@ -222,14 +222,12 @@ def hs_cycle_formula(c: Graph, i: int, s: int) -> MonomialIdeal:
 def hs_cycle_top(c: Graph, s: int) -> MonomialIdeal:
     """The top nonvanishing shift ideal of a cycle power as alpha-power times a power.
 
-    For odd n = 2m+1 this is HS_{2m}(I^s) = alpha^m * I^{s-m} (s >= m);
-    for even n = 2m it is HS_{2m-2}(I^s) = alpha^{m-1} * I^{s-m+1}
-    (s >= m-1).
+    With l = (n - 1) // 2 this is HS_{2l}(I^s) = alpha^l * I^{s-l} for
+    s >= l: l = m for odd n = 2m+1 and l = m-1 for even n = 2m.
     """
     if not is_cycle_graph(c):
         raise PreconditionError("the top shift formula requires a cycle")
-    m = c.n // 2
-    threshold = m if c.n % 2 else m - 1
+    threshold = (c.n - 1) // 2
     if s < threshold:
         raise PreconditionError(f"top shift formula needs s >= {threshold}, got {s}")
     return comp_power_ideal(c, s - threshold).scaled(Monomial.uniform(c.n, threshold))
@@ -307,9 +305,9 @@ def caterpillar_realization(
 ) -> tuple[LabeledTree, Monomial, bool]:
     """Realize a Veronese-type ideal as a shift ideal of a caterpillar tree.
 
-    Builds the caterpillar T for the cap profile, computes
-    H = HS_{|a|-d}(I_c(T)^{|a|-d}), and compares the content-free core of
-    H with the content-free core of the Veronese ideal embedded along the
+    Builds the caterpillar T for the cap profile, takes
+    H = HS_{|a|-d}(I_c(T)^{|a|-d}) from ``hs_closed_form``, and compares the
+    content-free core of H with that of the Veronese ideal embedded along the
     spine.  Returns (T, content of H, verdict).  Core comparison is used
     because the two sides agree up to a monomial factor that can carry
     negative exponents when some cap exceeds |a| - d.
@@ -323,11 +321,7 @@ def caterpillar_realization(
         )
     t = caterpillar_from_profile(caps)
     i = sum(caps) - spec.degree
-    if i == 0:
-        shift_ideal = MonomialIdeal.unit(t.n)
-    else:
-        shift_ideal = hs_tree_formula(t.graph, i, i)
-    content, core = divide_out(shift_ideal)
+    content, core = divide_out(hs_closed_form(t.graph, i, i))
     _, veronese_core = divide_out(_embed_veronese(spec, t))
     return t, content, core == veronese_core
 

@@ -1,5 +1,5 @@
 from datetime import timedelta
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from math import comb, prod
 
 import numpy as np
@@ -337,6 +337,58 @@ def test_set_cycle_examples():
     assert set_cycle(c4, ((1, 4),)) == {1}
     c5 = CycleLabeling(5)
     assert set_cycle(c5, ((1, 2), (3, 4))) == {1, 2, 3, 4}
+
+
+def test_closed_set_maps_refuse_edges_outside_the_graph():
+    # The same refusal as set_via_even_connected gives for a non-edge.
+    with pytest.raises(ValueError, match="not an edge"):
+        set_cycle(CycleLabeling(5), ((1, 3),))
+    t, _ = tree_distance_labeling(path(4), 4)
+    with pytest.raises(ValueError, match="not an edge"):
+        set_tree(t, ((1, 4),))
+    with pytest.raises(ValueError, match="not an edge"):
+        set_via_even_connected(CycleLabeling(5).graph, ((1, 3),))
+
+
+def _set_cycle_by_definition(c, edges):
+    """set(u) from the chains written out: each chain's largest admissible length l.
+
+    The chain e1, e3, ..., e_{2l-1} has l edges, l up to m - 1 (n = 2m) or m
+    (n = 2m + 1), and gives [2l]; the chain e0, e2, ..., e_{2l} has l + 1
+    edges, l from 1 up to m - 2 or m - 1, and gives [2l + 1].
+    """
+    n, m = c.n, c.n // 2
+    support = set(edges)
+    caps = (m - 1, m - 2) if n % 2 == 0 else (m, m - 1)
+    odd = max(
+        (l for l in range(1, caps[0] + 1) if {c.edge(2 * t + 1) for t in range(l)} <= support),
+        default=0,
+    )
+    even = max(
+        (l for l in range(1, caps[1] + 1) if {c.edge(2 * t) for t in range(l + 1)} <= support),
+        default=0,
+    )
+    result = set(range(1, 2 * odd + 1)) | (set(range(1, 2 * even + 2)) if even else set())
+    result |= {min(e) for e in support} - {n - 1}
+    return frozenset(result)
+
+
+def test_set_cycle_matches_chain_definition():
+    # Every edge subset of C_n, n = 3..11, and every multiset of s edges for
+    # s <= 4 (n <= 9) or s <= 3 (n = 10, 11): 6,710 inputs.
+    inputs = 0
+    for n in range(3, 12):
+        c = CycleLabeling(n)
+        subsets = (sub for r in range(n + 1) for sub in combinations(c.graph.edges, r))
+        multisets = (
+            ms
+            for s in range(1, (4 if n <= 9 else 3) + 1)
+            for ms in combinations_with_replacement(c.graph.edges, s)
+        )
+        for edges in chain(subsets, multisets):
+            assert set_cycle(c, edges) == _set_cycle_by_definition(c, edges), (n, edges)
+            inputs += 1
+    assert inputs == 6710
 
 
 def test_set_cycle_independent_of_expression():

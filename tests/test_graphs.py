@@ -30,7 +30,7 @@ from homshift import (
     tree_distance_labeling,
     validate_lex_labeling,
 )
-from homshift.corpus import connected_graphs, distance_labeled_trees
+from homshift.corpus import _compositions, connected_graphs, distance_labeled_trees
 from homshift.graphs import relabel_graph
 
 CATALOG = Path(__file__).resolve().parents[1] / "src" / "homshift" / "_catalog.py"
@@ -370,7 +370,9 @@ def test_caterpillar_examples():
 
 
 def test_caterpillar_parent_fibers_match_profile():
-    for profile in [(1,), (3,), (2, 2), (1, 2, 1), (2, 1, 1, 1)]:
+    profiles = [p for total in range(1, 9) for p in _compositions(total)]
+    assert len(profiles) == 255
+    for profile in profiles:
         t = caterpillar_from_profile(profile)
         assert validate_lex_labeling(t.graph)
         sigma = 0
@@ -398,6 +400,10 @@ def test_labeled_tree_invariants_enforced():
         LabeledTree(CycleLabeling(3).graph)
     with pytest.raises(ValueError):
         LabeledTree(Graph(3, [(1, 3), (2, 3)]))  # vertex 3 has degree 2
+    with pytest.raises(ValueError):
+        LabeledTree(Graph(4, [(1, 2), (1, 3), (3, 4)]))  # 4 is a leaf, 2 has no neighbor above
+    with pytest.raises(ValueError):
+        LabeledTree(Graph(5, [(1, 4), (2, 3), (3, 4), (4, 5)]))  # 2 lies farther from 5 than 1
     # Valid: the path in natural order.
     t = LabeledTree(path(4))
     assert t.parent == (2, 3, 4)
