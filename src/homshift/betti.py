@@ -10,8 +10,8 @@ lcm lattice recovers every homological shift ideal and the projective
 dimension without any reference to linear quotients.  Ranks are exact:
 fraction-free integer elimination over the rationals.
 
-Both the lattice and the complexes are read from the integer matrix G of
-generator exponents, one row per generator.  The lattice is closed round
+Both the lattice and the complexes are read from the ideal's exponent
+matrix G (``MonomialIdeal.exps``), one row per generator.  The lattice is closed round
 by round: the rows first found in the last round are joined with every
 row of G by one ``np.maximum``, and byte keys of whole rows drop the joins
 already seen.  For a lattice element a, the rows u of G with u <= a are
@@ -146,8 +146,7 @@ def upper_koszul(ideal: MonomialIdeal, a: Monomial) -> SimplicialComplex:
     """
     if a.n != ideal.n:
         raise ValueError("ambient variable counts differ")
-    gens = _exponent_matrix(ideal.gens, ideal.n)
-    return SimplicialComplex(_facet_masks(gens, _exponent_matrix([a], ideal.n))[0])
+    return SimplicialComplex(_facet_masks(ideal.exps, _exponent_matrix([a], ideal.n))[0])
 
 
 def lcm_lattice(
@@ -164,14 +163,14 @@ def lcm_lattice(
     entries so that memory stays bounded; row keys drop the joins
     already seen.
     """
-    if len(ideal.gens) > gen_cap:
+    if ideal.num_gens() > gen_cap:
         raise OracleCapError(
-            f"{len(ideal.gens)} generators exceed the oracle cap of {gen_cap}"
+            f"{ideal.num_gens()} generators exceed the oracle cap of {gen_cap}"
         )
     if ideal.n == 0:
         # (0) or (1): its own lattice, and rows without bytes have no key.
         return list(ideal.gens)
-    gens = _exponent_matrix(ideal.gens, ideal.n)
+    gens = ideal.exps
     found, seen, frontier = [gens], _row_keys(gens), gens
     step = max(1, _JOIN_BLOCK // max(gens.size, 1))
     while len(frontier):
@@ -230,7 +229,7 @@ def betti_table(
         return cached
     entries: dict = {}
     lattice = lcm_lattice(ideal, gen_cap, size_cap)
-    gens = _exponent_matrix(ideal.gens, ideal.n)
+    gens = ideal.exps
     # Homology per distinct complex, keyed by its facet masks.
     homology: dict[frozenset[int], dict[int, int]] = {}
     step = max(1, _JOIN_BLOCK // max(gens.size, 1))

@@ -47,7 +47,14 @@ from .graphs import (
     is_tree,
     lex_labeled_copy,
 )
-from .monomials import Monomial, MonomialIdeal, _bit_rows, _exponent_matrix
+from .monomials import (
+    Monomial,
+    MonomialIdeal,
+    _bit_rows,
+    _exponent_matrix,
+    _frozen_rows,
+    _ideal_from_rows,
+)
 
 
 def comp_edge_ideal(g: Graph) -> MonomialIdeal:
@@ -142,10 +149,7 @@ class SetMap:
         since cached set maps live for the whole process.  Not a field, so it
         takes no part in equality, hashing or repr.
         """
-        exps = _exponent_matrix(self.gens, self.n)
-        exps = exps.astype(np.min_scalar_type(int(exps.max(initial=0))))
-        exps.flags.writeable = False
-        return exps
+        return _frozen_rows(_exponent_matrix(self.gens, self.n))
 
     @cached_property
     def set_columns(self) -> np.ndarray:
@@ -330,7 +334,9 @@ def comp_power_ideal(g: Graph, s: int) -> MonomialIdeal:
         return MonomialIdeal.zero(g.n)
     if s == 0:
         return MonomialIdeal.unit(g.n)
-    return MonomialIdeal(g.n, tuple(f.monomial for f in power_generators(g, s)))
+    # The generators come in the lex order of lex_labeled_copy's labels, not of g's own.
+    rows = _exponent_matrix([f.monomial for f in power_generators(g, s)], g.n)
+    return _ideal_from_rows(g.n, rows)
 
 
 def pd_of_power(g: Graph, s: int) -> int:

@@ -2,19 +2,26 @@
 
 Monomials are dense exponent vectors over a fixed number of variables.
 Ideals always carry their unique minimal generating set, sorted in
-descending lexicographic order with x1 > x2 > ... > xn, so ideal equality
-is a plain comparison of generator lists.
+descending lexicographic order with x1 > x2 > ... > xn, in one of two
+forms: a tuple of Monomials, or one read-only exponent matrix with a row
+per generator, stored in the smallest unsigned dtype that holds its largest
+entry.  Ideals built from Monomials keep their tuple and build the matrix
+on first use; ideals returned by the kernels hold only the matrix and build
+their Monomials the first time ``gens`` is read.  The matrix depends on the
+ideal alone, so equality compares matrices and the hash reads their bytes.
 
-Sums and products of ideals run on int64 exponent matrices: byte keys of
-whole rows drop duplicates, ``np.lexsort`` orders the rows, and mixed
-degrees are then minimalized.  Any exponent or degree that would pass
-int64 raises OverflowError instead of wrapping.
+Sums, products, scaling and containment run on those matrices, and
+exponents are widened to int64 only where a kernel adds them: byte keys of
+whole rows drop duplicates, ``np.lexsort`` orders the rows, and with mixed
+degrees a blocked broadcast divisibility test drops the rows that are not
+minimal.  Any exponent or degree that would pass int64 raises
+OverflowError instead of wrapping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -168,7 +175,15 @@ def _exponent_matrix(gens: Sequence[Monomial], n: int) -> np.ndarray:
 
     An exponent past int64 raises OverflowError.
     """
-    return np.array([g.exps for g in gens], dtype=np.int64).reshape(len(gens), n)
+    flat = chain.from_iterable(g.exps for g in gens)
+    return np.fromiter(flat, dtype=np.int64, count=len(gens) * n).reshape(len(gens), n)
+
+
+def _frozen_rows(rows: np.ndarray) -> np.ndarray:
+    """A read-only copy of a non-negative exponent matrix in the smallest fitting unsigned dtype."""
+    rows = rows.astype(np.min_scalar_type(int(rows.max(initial=0))))
+    rows.flags.writeable = False
+    return rows
 
 
 def _check_int64(n: int, largest: int) -> None:
@@ -232,6 +247,7 @@ def _product_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     n = a.shape[1]
     _check_int64(n, int(a.max(initial=0)) + int(b.max(initial=0)))
+    a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
     step = max(1, _JOIN_BLOCK // max(b.size, 1))
     blocks = []
     for k in range(0, len(a), step):
@@ -241,30 +257,48 @@ def _product_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _ideal_from_rows(n: int, rows: np.ndarray) -> "MonomialIdeal":
-    """The ideal generated by the rows of an int64 exponent matrix.
+def _divisible(rows: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """For each row of ``rows``, whether some row of ``by`` divides it (lies below it entrywise).
 
-    Equal-degree rows only need deduplication and ordering; mixed degrees
-    go through ``_minimalize_tuples``.  One Monomial is built per kept row.
+    One broadcast comparison per block of ``_JOIN_BLOCK`` entries.
+    """
+    out = np.zeros(len(rows), dtype=bool)
+    step = max(1, _JOIN_BLOCK // max(by.size, 1))
+    for k in range(0, len(rows), step):
+        out[k : k + step] = (rows[k : k + step, None, :] >= by[None, :, :]).all(axis=2).any(axis=1)
+    return out
+
+
+def _ideal_from_rows(n: int, rows: np.ndarray) -> "MonomialIdeal":
+    """The ideal generated by the rows of a non-negative integer exponent matrix.
+
+    Equal-degree rows only need deduplication and ordering.  With mixed
+    degrees a row is then dropped when a row of lower degree divides it.
+    No Monomial is built.
     """
     rows = _distinct_rows(rows)
-    # Columns to tuples: no list per row; with no columns, each row is the tuple ().
-    tuples = list(zip(*rows.T.tolist())) if n else [()] * len(rows)
     degrees = rows.sum(axis=1)
     if len(rows) and (degrees != degrees[0]).any():
-        tuples = _minimalize_tuples(n, tuples)
-    return MonomialIdeal._canonical(n, Monomial._wrap_all(tuples))
+        keep = np.ones(len(rows), dtype=bool)
+        for d in np.unique(degrees)[1:]:
+            at = degrees == d
+            keep[at] = ~_divisible(rows[at], rows[degrees < d])
+        rows = rows[keep]
+    return MonomialIdeal._wrap(n, rows)
 
 
 class MonomialIdeal:
     """A monomial ideal, held as its canonical minimal generating set.
 
     The zero ideal has no generators; the unit ideal has the single
-    generator 1.  Construction minimalizes, so two ideals are equal
-    exactly when their generator tuples coincide.
+    generator 1.  Construction minimalizes, and the exponent matrix of the
+    minimal generators in descending lex order is unique to the ideal, so
+    two ideals are equal exactly when their matrices coincide.  An ideal
+    holds a tuple of Monomials, the matrix ``exps``, or both; each is built
+    from the other on first read.
     """
 
-    __slots__ = ("n", "gens")
+    __slots__ = ("n", "_gens", "_rows")
 
     def __init__(self, n: int, gens: Iterable[Monomial] = ()):
         # Keep the caller's Monomial objects: the first one seen per exponent tuple.
@@ -273,17 +307,15 @@ class MonomialIdeal:
             if g.n != n:
                 raise ValueError(f"generator {g} has {g.n} variables, expected {n}")
             by_exps.setdefault(g.exps, g)
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(
-            self, "gens", tuple(by_exps[t] for t in _minimalize_tuples(n, by_exps))
-        )
+        self.n = int(n)
+        self._gens = tuple(by_exps[t] for t in _minimalize_tuples(n, by_exps))
+        self._rows = None
 
     @classmethod
-    def _canonical(cls, n: int, gens: tuple[Monomial, ...]) -> "MonomialIdeal":
-        """Wrap generators that are already minimal, distinct and in descending lex order."""
+    def _wrap(cls, n: int, rows: np.ndarray) -> "MonomialIdeal":
+        """The ideal of matrix rows already minimal, distinct and in descending lex order."""
         ideal = cls.__new__(cls)
-        object.__setattr__(ideal, "n", n)
-        object.__setattr__(ideal, "gens", gens)
+        ideal.n, ideal._gens, ideal._rows = n, None, _frozen_rows(rows)
         return ideal
 
     @classmethod
@@ -298,14 +330,32 @@ class MonomialIdeal:
     def from_exponents(cls, n: int, rows: Iterable[Iterable[int]]) -> "MonomialIdeal":
         return cls(n, (Monomial(r) for r in rows))
 
-    def is_zero(self) -> bool:
-        return not self.gens
+    @property
+    def gens(self) -> tuple[Monomial, ...]:
+        """The minimal generators in descending lex order, built from ``exps`` on first read."""
+        if self._gens is None:
+            rows = self._rows
+            # Columns to tuples: no list per row; with no columns, each row is the tuple ().
+            tuples = list(zip(*rows.T.tolist())) if self.n else [()] * len(rows)
+            self._gens = Monomial._wrap_all(tuples)
+        return self._gens
 
-    def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].is_one()
+    @property
+    def exps(self) -> np.ndarray:
+        """The minimal generators' exponent matrix, one row each in ``gens`` order, read-only.
+
+        Stored in the smallest unsigned dtype that fits and built on first
+        use; an exponent past int64 raises OverflowError.
+        """
+        if self._rows is None:
+            self._rows = _frozen_rows(_exponent_matrix(self._gens, self.n))
+        return self._rows
+
+    def is_zero(self) -> bool:
+        return not self.num_gens()
 
     def num_gens(self) -> int:
-        return len(self.gens)
+        return len(self._rows if self._gens is None else self._gens)
 
     def __iter__(self) -> Iterator[Monomial]:
         return iter(self.gens)
@@ -314,20 +364,37 @@ class MonomialIdeal:
         return any(g.divides(m) for g in self.gens)
 
     def is_contained_in(self, other: "MonomialIdeal") -> bool:
-        return all(g in other for g in self.gens)
+        """Whether a generator of ``other`` divides each generator of this ideal.
 
-    def __le__(self, other: "MonomialIdeal") -> bool:
-        return self.is_contained_in(other)
+        One blocked broadcast test of divisibility on the two matrices; an
+        exponent past int64 raises OverflowError, as in the other kernels.
+        """
+        if self.n != other.n:
+            raise ValueError("ambient variable counts differ")
+        if self.is_zero() or other.is_zero():
+            return self.is_zero()
+        return bool(_divisible(self.exps, other.exps).all())
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MonomialIdeal)
-            and self.n == other.n
-            and self.gens == other.gens
-        )
+        if not isinstance(other, MonomialIdeal) or self.n != other.n:
+            return False
+        if self.num_gens() != other.num_gens():
+            return False
+        if self._gens is not None and other._gens is not None:
+            return self._gens == other._gens
+        try:
+            return np.array_equal(self.exps, other.exps)
+        except OverflowError:
+            # Only Monomials hold exponents past int64, and a kernel-built ideal never does.
+            return False
 
     def __hash__(self) -> int:
-        return hash((self.n, self.gens))
+        try:
+            rows = self.exps
+        except OverflowError:
+            return hash((self.n, self._gens))
+        # The dtype follows from the largest entry, so equal ideals have equal bytes.
+        return hash((self.n, rows.shape, rows.tobytes()))
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.n != other.n:
@@ -336,9 +403,9 @@ class MonomialIdeal:
             return self
         if self.is_zero():
             return other
-        rows = _exponent_matrix(self.gens + other.gens, self.n)
-        _check_int64(self.n, int(rows.max(initial=0)))
-        return _ideal_from_rows(self.n, rows)
+        a, b = self.exps, other.exps
+        _check_int64(self.n, max(int(a.max(initial=0)), int(b.max(initial=0))))
+        return _ideal_from_rows(self.n, np.concatenate((a, b)))
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """All pairwise products of generators, summed on exponent matrices."""
@@ -346,13 +413,17 @@ class MonomialIdeal:
             raise ValueError("ambient variable counts differ")
         if self.is_zero() or other.is_zero():
             return MonomialIdeal.zero(self.n)
-        a = _exponent_matrix(self.gens, self.n)
-        b = _exponent_matrix(other.gens, other.n)
-        return _ideal_from_rows(self.n, _product_rows(a, b))
+        return _ideal_from_rows(self.n, _product_rows(self.exps, other.exps))
 
     def scaled(self, m: Monomial) -> "MonomialIdeal":
-        """The ideal m * I."""
-        return MonomialIdeal(self.n, tuple(m * g for g in self.gens))
+        """The ideal m * I: one vector added to every row keeps them minimal and in lex order."""
+        if self.is_zero():
+            return self
+        if m.n != self.n:
+            raise ValueError("ambient variable counts differ")
+        rows = self.exps
+        _check_int64(self.n, int(rows.max(initial=0)) + max(m.exps, default=0))
+        return MonomialIdeal._wrap(self.n, rows.astype(np.int64) + np.array(m.exps, dtype=np.int64))
 
     def power(self, s: int) -> "MonomialIdeal":
         """I^s, with I^0 the unit ideal and I^s the zero ideal for s < 0."""

@@ -49,7 +49,6 @@ from .monomials import (
     MonomialIdeal,
     VeroneseSpec,
     _check_int64,
-    _exponent_matrix,
     _ideal_from_rows,
     _product_rows,
     divide_out,
@@ -72,7 +71,7 @@ def hs_linear_quotients(sm: SetMap, i: int) -> MonomialIdeal:
     if i < 0:
         return MonomialIdeal.zero(n)
     if i == 0:
-        return MonomialIdeal(n, sm.gens)
+        return _ideal_from_rows(n, sm.exps)
     gens = sm.exps.astype(np.int64)
     _check_int64(n, int(gens.max(initial=0)) + 1)
     cols = sm.set_columns
@@ -212,7 +211,7 @@ def hs_cycle_formula(c: Graph, i: int, s: int) -> MonomialIdeal:
         picks = np.array(list(combinations(range(n), i - 2 * k)), dtype=np.intp)
         block = np.full((len(picks), n), i - k, dtype=np.int64)
         block[np.arange(len(picks))[:, None], picks] -= 1
-        terms.append(_product_rows(_exponent_matrix(power.gens, n), block))
+        terms.append(_product_rows(power.exps, block))
     if not terms:
         return MonomialIdeal.zero(n)
     # Every term has degree (n-2)s + i, so the rows need no minimalizing.

@@ -29,7 +29,7 @@ from homshift import (
     set_via_even_connected,
 )
 from homshift.corpus import connected_graphs, distance_labeled_trees
-from homshift.graphs import lex_labeled_copy, tree_distance_labeling
+from homshift.graphs import lex_labeled_copy, tree_distance_labeling, validate_lex_labeling
 from homshift.monomials import Monomial
 
 
@@ -247,6 +247,20 @@ def test_set_map_keeps_its_exponent_matrix():
     huge = SetMap((Monomial((2**63, 0)),), (frozenset({2}),))
     with pytest.raises(OverflowError):
         hs_linear_quotients(huge, 1)
+
+
+def test_comp_power_ideal_rows_in_own_labels():
+    # A scrambled 8-cycle: power_generators lists its rows in the lex order of other labels.
+    g = Graph(8, [(1, 2), (1, 8), (2, 3), (3, 4), (4, 5), (5, 7), (6, 7), (6, 8)])
+    assert not validate_lex_labeling(g)
+    for s in (1, 2, 3):
+        power = comp_power_ideal(g, s)
+        expected = {
+            tuple(s - sum(v in e for e in edges) for v in g.vertices())
+            for edges in combinations_with_replacement(g.edges, s)
+        }
+        assert [tuple(row) for row in power.exps.tolist()] == sorted(expected, reverse=True)
+        assert power == ideal(8, *expected)
 
 
 def test_set_map_keeps_its_set_columns():

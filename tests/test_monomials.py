@@ -1,6 +1,7 @@
 from datetime import timedelta
-from itertools import combinations
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from homshift import (
 )
 from homshift.corpus import connected_graphs
 from homshift.graphs import invert_permutation
-from homshift.monomials import exchange_violation
+from homshift.monomials import _ideal_from_rows, exchange_violation
 
 
 def mono(*exps):
@@ -330,6 +331,11 @@ def test_kernels_refuse_int64_overflow():
     # Each exponent fits, but the degree 2^63 would not.
     with pytest.raises(OverflowError):
         ideal(2, (2**62, 2**62)) + ideal(2, (1, 0))
+    # Degree 2^64 would wrap to 0 in uint64; containment reads the entries alone.
+    big, unit = ideal(3, (top, top, 2)), MonomialIdeal.unit(3)
+    assert big.is_contained_in(unit) and not unit.is_contained_in(big)
+    with pytest.raises(OverflowError):
+        ideal(1, (2**63,)).is_contained_in(MonomialIdeal.unit(1))
     assert exps_of(hs_linear_quotients(SetMap((mono(top - 1),), (frozenset({1}),)), 1)) == [
         (top,)
     ]
@@ -343,3 +349,68 @@ def test_product_independent_of_blocks(monkeypatch):
     # One row of the left factor per block: every product spans many blocks.
     monkeypatch.setattr(homshift.monomials, "_JOIN_BLOCK", 1)
     assert [I * J for I in ideals for J in ideals] == products
+
+
+# ---------------------------------------------------------------------------
+# the two forms of an ideal: Monomials and exponent matrix
+# ---------------------------------------------------------------------------
+
+
+def built(n, rows, path):
+    """The ideal of ``rows``, built from Monomials (path 0) or from an exponent matrix (path 1)."""
+    if path == 0:
+        return MonomialIdeal.from_exponents(n, rows)
+    return _ideal_from_rows(n, np.array(rows, dtype=np.int64).reshape(len(rows), n))
+
+
+def plus(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def divides(v, u):
+    return all(a <= b for a, b in zip(v, u))
+
+
+@KERNEL_PROPERTY
+@given(row_lists())
+def test_ideal_forms_match_tuple_definitions(case):
+    n, rows_a, rows_b = case
+    unit = [(0,) * n]
+    m = Monomial(rows_b[0] if rows_b else (1,) * n)
+    for ra, rb in ((rows_a, rows_b), (rows_a, []), ([], rows_b), (rows_a, unit), (unit, rows_b)):
+        min_a, min_b = brute_minimal(ra), brute_minimal(rb)
+        # Both forms of one ideal are equal and hash equal.
+        assert built(n, ra, 0) == built(n, ra, 1)
+        assert hash(built(n, ra, 0)) == hash(built(n, ra, 1))
+        for p, q in product((0, 1), repeat=2):
+            I, J = built(n, ra, p), built(n, rb, q)
+            assert (I == J) == (min_a == min_b)
+            assert min_a != min_b or hash(I) == hash(J)
+            contained = all(any(divides(v, u) for v in min_b) for u in min_a)
+            assert I.is_contained_in(J) == contained
+            assert exps_of(built(n, ra, p) + built(n, rb, q)) == brute_minimal(ra + rb)
+            products = [plus(u, v) for u in ra for v in rb]
+            assert exps_of(built(n, ra, p) * built(n, rb, q)) == brute_minimal(products)
+        for p in (0, 1):
+            I = built(n, ra, p)
+            assert I.num_gens() == len(min_a) and I.is_zero() == (not min_a)
+            assert exps_of(I.scaled(m)) == brute_minimal([plus(u, m.exps) for u in ra])
+
+
+def test_matrix_ideals_compare_without_monomials(monkeypatch):
+    graphs = connected_graphs(5)[:8]
+    for g, s in product(graphs, (1, 2)):
+        comp_power_ideal(g, s)  # fill the generator caches
+
+    def no_monomials(cls, rows):
+        raise AssertionError("Monomials built to compare or contain ideals")
+
+    monkeypatch.setattr(Monomial, "_wrap_all", classmethod(no_monomials))
+    for g in graphs:
+        I, I2 = comp_power_ideal(g, 1), comp_power_ideal(g, 2)
+        square = I * I
+        # One common degree and mixed degrees.
+        assert square == I2 and hash(square) == hash(I2) and square.is_contained_in(I2)
+        assert I2.is_contained_in(I) and not I.is_contained_in(I2)
+        assert (I + I2) == I and (I + I2).is_contained_in(I)
+        assert I != I2 and not I2.is_contained_in(I2.scaled(Monomial.variable(g.n, 1)))

@@ -1,6 +1,7 @@
 from datetime import timedelta
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -413,3 +414,31 @@ def test_closed_forms_match_linear_quotients_in_any_labels(g):
             form = hs_closed_form(g, i, s)
             if form is not None:
                 assert form == hs_power(g, i, s)
+
+
+def test_kernel_shift_ideals_build_monomials_only_when_read(monkeypatch):
+    c = CycleLabeling(6).graph
+    sm = power_set_map(c, 3)
+    for t in range(1, 4):
+        comp_power_ideal(c, t)  # fill the generator caches
+    built = []
+    real_init, real_wrap_all = Monomial.__init__, Monomial._wrap_all.__func__
+
+    def counting_init(self, exps):
+        built.append(1)
+        real_init(self, exps)
+
+    def counting_wrap_all(cls, rows):
+        built.append(len(rows))
+        return real_wrap_all(cls, rows)
+
+    monkeypatch.setattr(Monomial, "__init__", counting_init)
+    monkeypatch.setattr(Monomial, "_wrap_all", classmethod(counting_wrap_all))
+    lq = hs_linear_quotients(sm, 2)
+    closed = hs_cycle_formula(c, 2, 3)
+    assert lq == closed and not built
+    assert not lq.exps.flags.writeable and lq.exps.dtype == np.uint8
+    # Built on the first read of gens, once, in the matrix's row order.
+    gens = lq.gens
+    assert built == [lq.num_gens()] and lq.gens is gens
+    assert [g.exps for g in gens] == [tuple(row) for row in lq.exps.tolist()]
