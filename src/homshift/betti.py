@@ -8,13 +8,15 @@ the subsets F of supp(a) with x^a / x_F in I, and
 Nonzero entries occur only at lcms of generator subsets, so scanning the
 lcm lattice recovers every homological shift ideal and the projective
 dimension without any reference to linear quotients.  Ranks are exact:
-fraction-free integer elimination over the rationals.
+sparse integer elimination over the rationals, on the nonzeros of each
+boundary map only.
 
 Both the lattice and the complexes are read from the ideal's exponent
 matrix G (``MonomialIdeal.exps``), one row per generator.  The lattice is closed round
 by round: the rows first found in the last round are joined with every
-row of G by one ``np.maximum``, and byte keys of whole rows drop the joins
-already seen.  For a lattice element a, the rows u of G with u <= a are
+row of G by one ``np.maximum``, and a key per row (its digits packed into
+one int64 where that is exact, else its bytes) drops the joins already
+seen.  For a lattice element a, the rows u of G with u <= a are
 the generators dividing x^a, and each gives the facet {p : u_p < a_p}
 (supp(a) minus the variables where u reaches a).  ``betti_table`` makes
 these two comparisons for a block of lattice rows at once and packs each
@@ -22,17 +24,20 @@ facet into a Python-int bitmask (bit p for x_{p+1}, exact for any number
 of variables).  K^a is the ``SimplicialComplex`` on its set of facet
 masks, and the homology of each distinct set is computed once per table:
 faces are the submasks of the facets, and each boundary map is ranked
-once.
+once, as one sparse row {F ^ bit: +-1} per face F.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+from typing import Callable
 
 import numpy as np
 
 from .errors import OracleCapError
 from .monomials import (
+    _INT64_MAX,
     _JOIN_BLOCK,
     Monomial,
     MonomialIdeal,
@@ -76,53 +81,68 @@ class SimplicialComplex:
     def reduced_homology(self) -> dict[int, int]:
         """Every nonzero reduced homology rank over the rationals, keyed by dimension.
 
-        Removing bit b from a face has sign (-1)^(number of the face's bits
-        below b), and each boundary map is ranked once by ``integer_rank``.
+        Each boundary map is ranked once by ``integer_rank``, on one sparse
+        row per d-face F: ``{F ^ bit: sign}`` over the bits of F, where
+        removing a bit has sign (-1)^(number of F's bits below it).  The
+        d-th map thus hands over all f_d rows and (d + 1) * f_d nonzeros.
         """
         by_dim = self.faces_by_dim()
         ranks = {}
         for d, upper in by_dim.items():
-            lower = by_dim.get(d - 1)
-            if lower is None:
+            if d - 1 not in by_dim:
                 continue
-            index = {face: r for r, face in enumerate(lower)}
-            mat = [[0] * len(upper) for _ in lower]
-            for j, face in enumerate(upper):
-                rest, sign = face, 1
+            rows = []
+            for face in upper:
+                row, rest, sign = {}, face, 1
                 while rest:
                     bit = rest & -rest
-                    mat[index[face ^ bit]][j] = sign
+                    row[face ^ bit] = sign
                     rest ^= bit
                     sign = -sign
-            ranks[d] = integer_rank(mat)
+                rows.append(row)
+            ranks[d] = integer_rank(rows)
         homology = {d: len(fs) - ranks.get(d, 0) - ranks.get(d + 1, 0) for d, fs in by_dim.items()}
         return {d: h for d, h in homology.items() if h}
 
 
-def integer_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    mat = [list(r) for r in rows]
-    m = len(mat)
-    ncols = len(mat[0]) if m else 0
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, m) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        lead = mat[rank][col]
-        for r in range(rank + 1, m):
-            factor = mat[r][col]
-            row = mat[r]
-            top = mat[rank]
-            for c in range(col, ncols):
-                row[c] = (lead * row[c] - factor * top[c]) // prev
-        prev = lead
-        rank += 1
-        if rank == m:
-            break
-    return rank
+def integer_rank(rows: list[dict[int, int]]) -> int:
+    """Rank over the rationals of the matrix whose rows are ``rows``.
+
+    Each row is a dict ``{column: value}`` of its nonzero entries only, and
+    may be reduced in place.  A row is reduced against the kept pivot rows
+    at its largest column until it is empty (it depended on them) or no
+    pivot has that column (it is kept as the pivot there).  A step against
+    a pivot entry of +-1 subtracts a multiple of the pivot; any other step
+    is fraction-free, lead * row - entry * pivot over their gcd, and then
+    divides the row by its content.  Every entry is an exact Python int.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            col = max(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            lead, factor = pivot[col], row[col]
+            scaled = lead not in (1, -1)
+            if scaled:
+                g = gcd(lead, factor)
+                row = {c: lead // g * v for c, v in row.items()}
+                factor //= g
+            else:
+                factor *= lead
+            for c, v in pivot.items():
+                x = row.get(c, 0) - factor * v
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+            if scaled and row:
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {c: v // g for c, v in row.items()}
+    return len(pivots)
 
 
 def _facet_masks(gens: np.ndarray, rows: np.ndarray) -> list[frozenset[int]]:
@@ -149,6 +169,23 @@ def upper_koszul(ideal: MonomialIdeal, a: Monomial) -> SimplicialComplex:
     return SimplicialComplex(_facet_masks(ideal.exps, _exponent_matrix([a], ideal.n))[0])
 
 
+def _join_keys(gens: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """A key function for joins of rows of ``gens``: equal keys exactly for equal rows.
+
+    No join passes the largest entry of ``gens``, so where (largest entry
+    + 1) ** n fits in int64, a row's digits in that base make one int64
+    key, which sorts far faster than the row's bytes (``_row_keys``, the
+    fallback).  A uint64 matrix also falls back: numpy would multiply it
+    by int64 digits in floating point.
+    """
+    n = gens.shape[1]
+    base = int(gens.max(initial=0)) + 1
+    if base**n > _INT64_MAX or gens.dtype == np.uint64:
+        return _row_keys
+    digits = np.array([base**p for p in range(n)], dtype=np.int64)
+    return lambda rows: rows @ digits
+
+
 def lcm_lattice(
     ideal: MonomialIdeal,
     gen_cap: int = DEFAULT_GEN_CAP,
@@ -171,14 +208,15 @@ def lcm_lattice(
         # (0) or (1): its own lattice, and rows without bytes have no key.
         return list(ideal.gens)
     gens = ideal.exps
-    found, seen, frontier = [gens], _row_keys(gens), gens
+    key = _join_keys(gens)
+    found, seen, frontier = [gens], key(gens), gens
     step = max(1, _JOIN_BLOCK // max(gens.size, 1))
     while len(frontier):
         fresh = []
         for start in range(0, len(frontier), step):
             block = frontier[start : start + step]
             joins = np.maximum(block[:, None, :], gens[None, :, :]).reshape(-1, ideal.n)
-            keys, first = np.unique(_row_keys(joins), return_index=True)
+            keys, first = np.unique(key(joins), return_index=True)
             # Minimal generators are distinct and only new keys join `seen`.
             new = ~np.isin(keys, seen, assume_unique=True)
             seen = np.concatenate((seen, keys[new]))
@@ -190,7 +228,9 @@ def lcm_lattice(
         frontier = np.concatenate(fresh)
         found.append(frontier)
     lattice = np.concatenate(found)
-    return [Monomial(row) for row in lattice[np.lexsort(lattice.T[::-1])].tolist()]
+    lattice = lattice[np.lexsort(lattice.T[::-1])]
+    # Columns to tuples of Python ints, wrapped without re-validation.
+    return list(Monomial._wrap_all(list(zip(*lattice.T.tolist()))))
 
 
 @dataclass(frozen=True)
@@ -229,13 +269,13 @@ def betti_table(
         return cached
     entries: dict = {}
     lattice = lcm_lattice(ideal, gen_cap, size_cap)
-    gens = ideal.exps
+    gens, rows = ideal.exps, _exponent_matrix(lattice, ideal.n)
     # Homology per distinct complex, keyed by its facet masks.
     homology: dict[frozenset[int], dict[int, int]] = {}
     step = max(1, _JOIN_BLOCK // max(gens.size, 1))
     for start in range(0, len(lattice), step):
         block = lattice[start : start + step]
-        for a, facets in zip(block, _facet_masks(gens, _exponent_matrix(block, ideal.n))):
+        for a, facets in zip(block, _facet_masks(gens, rows[start : start + step])):
             ranks = homology.get(facets)
             if ranks is None:
                 ranks = homology[facets] = SimplicialComplex(facets).reduced_homology()

@@ -199,7 +199,13 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 
 def _bit_rows(bits: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as a Python int with bit p for column p, exact at any width."""
+    """Each row of a boolean matrix as a Python int with bit p for column p, exact at any width.
+
+    Up to 63 columns every row fits in int64 and is one dot product with
+    the powers of two; wider rows are packed into bytes, read one at a time.
+    """
+    if bits.shape[1] <= 63:
+        return (bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))).tolist()
     packed = np.packbits(bits, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 

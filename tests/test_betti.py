@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import homshift.betti
@@ -43,15 +43,22 @@ def complex_on(*facets):
     return SimplicialComplex(frozenset(mask(*f) for f in facets))
 
 
+def _sparse(rows):
+    """Each dense row as the dict of its nonzero entries, the input ``integer_rank`` takes."""
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
 def test_integer_rank():
     assert integer_rank([]) == 0
-    assert integer_rank([[0, 0], [0, 0]]) == 0
-    assert integer_rank([[1, 2], [2, 4]]) == 1
-    assert integer_rank([[2, 0, 1], [0, 3, 1], [2, 3, 2]]) == 2
-    assert integer_rank([[1, 0], [0, 1], [1, 1]]) == 2
+    assert integer_rank(_sparse([[0, 0], [0, 0]])) == 0
+    assert integer_rank(_sparse([[1, 2], [2, 4]])) == 1
+    assert integer_rank(_sparse([[2, 0, 1], [0, 3, 1], [2, 3, 2]])) == 2
+    assert integer_rank(_sparse([[1, 0], [0, 1], [1, 1]])) == 2
     # entries that would overflow machine ints must still be exact
     big = [[10**30, 1], [1, 10**30]]
-    assert integer_rank(big) == 2
+    assert integer_rank(_sparse(big)) == 2
+    # No pivot entry is +-1, so every step is the fraction-free one.
+    assert integer_rank(_sparse([[3, 2], [3, 3], [6, 4]])) == 2
 
 
 def _rank_by_fractions(rows):
@@ -81,7 +88,7 @@ def _rank_by_fractions(rows):
     )
 )
 def test_integer_rank_matches_fraction_elimination(rows):
-    assert integer_rank(rows) == _rank_by_fractions(rows)
+    assert integer_rank(_sparse(rows)) == _rank_by_fractions(rows)
 
 
 def test_simplicial_complex_faces_and_void():
@@ -210,6 +217,23 @@ def test_betti_table_cache_respects_caps():
         betti_table(I, gen_cap=2)
     with pytest.raises(OracleCapError):
         betti_table(I, size_cap=3)
+
+
+def test_lcm_lattice_keys_past_the_packed_range():
+    # Joins are keyed by their digits packed into one int64 only where that
+    # is exact; uint64 rows and rows past that range are keyed by their bytes.
+    for I in (
+        ideal(1, (2**40,)),
+        ideal(2, (2**62, 0), (0, 2**62 + 1), (1, 1)),
+        ideal(70, (1,) * 69 + (0,), (0,) + (1,) * 69, (2,) + (0,) * 69),
+    ):
+        gens = [g.exps for g in I.gens]
+        joins = {
+            tuple(map(max, zip(*subset)))
+            for k in range(1, len(gens) + 1)
+            for subset in combinations(gens, k)
+        }
+        assert [m.exps for m in lcm_lattice(I)] == sorted(joins)
 
 
 def test_lcm_lattice_trivial_ideals():
@@ -359,9 +383,52 @@ def _homology_from_definition(faces):
         for j, face in enumerate(upper):
             for t in range(len(face)):
                 mat[lower.index(face[:t] + face[t + 1 :])][j] = (-1) ** t
-        ranks[d] = integer_rank(mat)
+        ranks[d] = _rank_by_fractions(mat)
     homology = {d: len(fs) - ranks.get(d, 0) - ranks.get(d + 1, 0) for d, fs in by_dim.items()}
     return {d: h for d, h in homology.items() if h}
+
+
+def _faces_of(facets):
+    """Every face of a set of facet masks, as sorted vertex tuples."""
+    return {
+        tuple(v + 1 for v in range(7) if face >> v & 1)
+        for facet in facets
+        for face in range(facet + 1)
+        if face & facet == face
+    }
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.frozensets(st.integers(0, (1 << 7) - 1), max_size=6))
+@example(frozenset())  # the void complex: no faces
+@example(frozenset({0}))  # {empty face}: reduced homology in dimension -1
+def test_reduced_homology_matches_definition(facets):
+    assert SimplicialComplex(facets).reduced_homology() == _homology_from_definition(_faces_of(facets))
+
+
+def test_reduced_homology_ranks_each_boundary_map_once_on_every_face(monkeypatch):
+    # The tracer reads len(rows) * len(rows[0]) after each call as the nonzeros
+    # ranked: one call per d >= 0 with all f_d rows of d + 1 entries keeps that
+    # count a function of the complex alone, whatever the vertex labels.
+    calls = []
+    rank = homshift.betti.integer_rank
+
+    def counting(rows):
+        shape = [len(row) for row in rows]
+        result = rank(rows)
+        calls.append((shape, len(rows) * len(rows[0])))
+        return result
+
+    monkeypatch.setattr(homshift.betti, "integer_rank", counting)
+    I = comp_power_ideal(CycleLabeling(5).graph, 2)
+    complexes = {upper_koszul(I, a) for a in lcm_lattice(I)}
+    complexes |= {complex_on(*combinations((1, 2, 3, 4), 3)), complex_on({2, 5}, {1, 3, 4, 7})}
+    for c in complexes:
+        calls.clear()
+        c.reduced_homology()
+        by_dim = c.faces_by_dim()
+        want = [([d + 1] * len(fs), (d + 1) * len(fs)) for d, fs in by_dim.items() if d >= 0]
+        assert calls == want
 
 
 @settings(derandomize=True, max_examples=150, deadline=timedelta(seconds=5), database=None)

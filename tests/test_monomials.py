@@ -23,7 +23,7 @@ from homshift import (
 )
 from homshift.corpus import connected_graphs
 from homshift.graphs import invert_permutation
-from homshift.monomials import _ideal_from_rows, exchange_violation
+from homshift.monomials import _bit_rows, _ideal_from_rows, exchange_violation
 
 
 def mono(*exps):
@@ -414,3 +414,16 @@ def test_matrix_ideals_compare_without_monomials(monkeypatch):
         assert I2.is_contained_in(I) and not I.is_contained_in(I2)
         assert (I + I2) == I and (I + I2).is_contained_in(I)
         assert I != I2 and not I2.is_contained_in(I2.scaled(Monomial.variable(g.n, 1)))
+
+
+def test_bit_rows_exact_on_both_sides_of_int64():
+    # Up to 63 columns the rows go through one int64 dot product; wider rows
+    # through packed bytes. Both give the same exact Python ints.
+    rng = np.random.default_rng(0)
+    for width in (0, 1, 8, 62, 63, 64, 65, 130):
+        bits = rng.random((6, width)) < 0.5
+        bits[0] = True
+        want = [sum(1 << p for p in range(width) if row[p]) for row in bits]
+        got = _bit_rows(bits)
+        assert got == want and all(type(x) is int for x in got)
+    assert _bit_rows(np.zeros((0, 5), dtype=bool)) == []
