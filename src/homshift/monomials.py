@@ -1,21 +1,21 @@
 """Exact monomial and monomial-ideal arithmetic with canonical minimal generators.
 
 Monomials are dense exponent vectors over a fixed number of variables.
-Ideals always carry their unique minimal generating set, sorted in
-descending lexicographic order with x1 > x2 > ... > xn, in one of two
-forms: a tuple of Monomials, or one read-only exponent matrix with a row
-per generator, stored in the smallest unsigned dtype that holds its largest
-entry.  Ideals built from Monomials keep their tuple and build the matrix
-on first use; ideals returned by the kernels hold only the matrix and build
-their Monomials the first time ``gens`` is read.  The matrix depends on the
-ideal alone, so equality compares matrices and the hash reads their bytes.
+An ideal holds one form: the read-only exponent matrix of its minimal
+generators, one row each in descending lexicographic order with
+x1 > x2 > ... > xn, in the smallest unsigned dtype that holds its largest
+entry.  Every constructor (from Monomials, from exponent rows, or from a
+kernel's matrix) reaches it through one minimalization, ``_minimal_rows``,
+and ``gens`` builds Monomials from it on first read.  The matrix depends
+on the ideal alone, so equality compares matrices and the hash reads
+their bytes.
 
-Sums, products, scaling and containment run on those matrices, and
-exponents are widened to int64 only where a kernel adds them: byte keys of
-whole rows drop duplicates, ``np.lexsort`` orders the rows, and with mixed
-degrees a blocked broadcast divisibility test drops the rows that are not
-minimal.  Any exponent or degree that would pass int64 raises
-OverflowError instead of wrapping.
+Minimalization, sums, products, scaling, colons and containment run on
+the matrices: packed integer keys order the rows and drop duplicates, and
+with mixed degrees a blocked broadcast divisibility test drops the rows
+that are not minimal.  An exponent past int64 raises OverflowError when
+the ideal is built; a kernel whose sums or degrees could pass int64
+raises it instead of wrapping.
 """
 
 from __future__ import annotations
@@ -142,31 +142,6 @@ class Monomial:
 _EXPS_SLOT = Monomial.exps.__set__
 
 
-def _minimalize_tuples(n: int, tuples: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Minimal elements under divisibility, sorted in descending lex order."""
-    distinct = set(tuples)
-    if not distinct:
-        return []
-    degrees = {sum(t) for t in distinct}
-    if len(degrees) == 1:
-        # Equal-degree monomials never divide one another.
-        return sorted(distinct, reverse=True)
-    by_degree = sorted(distinct, key=sum)
-    kept: list[tuple[int, ...]] = []
-    for cand in by_degree:
-        cd = sum(cand)
-        divisible = False
-        for k in kept:
-            if sum(k) >= cd:
-                break  # kept is degree-sorted; no later element can divide cand
-            if all(a <= b for a, b in zip(k, cand)):
-                divisible = True
-                break
-        if not divisible:
-            kept.append(cand)
-    return sorted(kept, reverse=True)
-
-
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -179,9 +154,14 @@ def _exponent_matrix(gens: Sequence[Monomial], n: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.int64, count=len(gens) * n).reshape(len(gens), n)
 
 
-def _frozen_rows(rows: np.ndarray) -> np.ndarray:
-    """A read-only copy of a non-negative exponent matrix in the smallest fitting unsigned dtype."""
-    rows = rows.astype(np.min_scalar_type(int(rows.max(initial=0))))
+def _frozen_rows(rows: np.ndarray, largest: int | None = None) -> np.ndarray:
+    """A read-only copy of a non-negative exponent matrix in the smallest fitting unsigned dtype.
+
+    ``largest`` is the matrix's largest entry, where the caller already has it.
+    """
+    if largest is None:
+        largest = int(rows.max(initial=0))
+    rows = rows.astype(np.min_scalar_type(largest))
     rows.flags.writeable = False
     return rows
 
@@ -210,38 +190,41 @@ def _bit_rows(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _lex_keys(rows: np.ndarray) -> list[np.ndarray]:
-    """Sort keys of a non-negative exponent matrix, most significant first.
+def _lex_keys(rows: np.ndarray, largest: int) -> list[np.ndarray]:
+    """Sort keys of a non-negative exponent matrix whose entries are at most ``largest``.
 
-    Runs of consecutive columns are packed into one int64 each, as digits
-    of base (largest entry + 1), so comparing the keys in turn compares
-    the rows lexicographically with fewer passes than one per column.
+    Most significant first.  Runs of consecutive columns are packed into
+    one int64 each, as digits of base (largest + 1), so comparing the keys
+    in turn compares the rows lexicographically with fewer passes than one
+    per column, and two rows are equal exactly when all their keys are.
     """
-    n = rows.shape[1]
-    base = int(rows.max(initial=0)) + 1
-    width = 1
-    while width < n and base ** (width + 1) <= _INT64_MAX:
-        width += 1
+    base = largest + 1
+    # base ** width < 2 ** (bit length * width) <= 2 ** 63.
+    width = max(1, 63 // base.bit_length())
     if width == 1:
         return list(rows.T)
+    rows = rows.astype(np.int64, copy=False)
     keys = []
-    for start in range(0, n, width):
+    for start in range(0, rows.shape[1], width):
         block = rows[:, start : start + width]
-        digits = np.array([base**p for p in reversed(range(block.shape[1]))], dtype=np.int64)
-        keys.append(block @ digits)
+        keys.append(block @ base ** np.arange(block.shape[1] - 1, -1, -1, dtype=np.int64))
     return keys
 
 
-def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of an exponent matrix, in descending lex order."""
+def _distinct_rows(rows: np.ndarray, largest: int) -> np.ndarray:
+    """The distinct rows of a matrix with entries up to ``largest``, in descending lex order."""
     if not rows.shape[1]:
-        # The only monomial in no variables is 1, and its row has no bytes to key.
+        # The only monomial in no variables is 1, and its row has no entries to key.
         return rows[:1]
-    rows = rows[np.lexsort(_lex_keys(rows)[::-1])[::-1]]
-    keys = _row_keys(rows)
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    return rows[keep]
+    keys = _lex_keys(rows, largest)
+    order = np.lexsort(keys[::-1])[::-1]
+    # Sorted, equal rows are adjacent and have equal keys: keep the first of each run.
+    first = np.zeros(len(rows), dtype=bool)
+    first[:1] = True
+    for key in keys:
+        key = key[order]
+        first[1:] |= key[1:] != key[:-1]
+    return rows[order[first]]
 
 
 def _product_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -252,14 +235,15 @@ def _product_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     could pass int64 raise OverflowError.
     """
     n = a.shape[1]
-    _check_int64(n, int(a.max(initial=0)) + int(b.max(initial=0)))
+    largest = int(a.max(initial=0)) + int(b.max(initial=0))
+    _check_int64(n, largest)
     a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
     step = max(1, _JOIN_BLOCK // max(b.size, 1))
     blocks = []
     for k in range(0, len(a), step):
         block = a[k : k + step]
         sums = block[:, None, :] + b[None, :, :]
-        blocks.append(_distinct_rows(sums.reshape(len(block) * len(b), n)))
+        blocks.append(_distinct_rows(sums.reshape(len(block) * len(b), n), largest))
     return np.concatenate(blocks)
 
 
@@ -275,66 +259,93 @@ def _divisible(rows: np.ndarray, by: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ideal_from_rows(n: int, rows: np.ndarray) -> "MonomialIdeal":
-    """The ideal generated by the rows of a non-negative integer exponent matrix.
+def _minimal_rows(rows: np.ndarray) -> np.ndarray:
+    """The minimal rows of a non-negative integer exponent matrix, as ``_frozen_rows`` holds them.
 
-    Equal-degree rows only need deduplication and ordering.  With mixed
-    degrees a row is then dropped when a row of lower degree divides it.
-    No Monomial is built.
+    The rows come out distinct and in descending lex order.  Equal-degree
+    rows never divide one another; with mixed degrees a row is dropped
+    when a row of lower degree divides it.  Degrees are summed in int64,
+    or as Python ints where n times the largest entry passes int64.
     """
-    rows = _distinct_rows(rows)
-    degrees = rows.sum(axis=1)
-    if len(rows) and (degrees != degrees[0]).any():
+    largest = int(rows.max(initial=0))
+    rows = _distinct_rows(rows, largest)
+    if rows.shape[1] * largest <= _INT64_MAX:
+        degrees = rows.sum(axis=1)
+    else:
+        degrees = np.array([sum(row) for row in rows.tolist()], dtype=object)
+    if np.count_nonzero(degrees != degrees[:1]):
         keep = np.ones(len(rows), dtype=bool)
         for d in np.unique(degrees)[1:]:
             at = degrees == d
             keep[at] = ~_divisible(rows[at], rows[degrees < d])
         rows = rows[keep]
-    return MonomialIdeal._wrap(n, rows)
+        largest = int(rows.max(initial=0))
+    return _frozen_rows(rows, largest)
+
+
+def _ideal_from_rows(n: int, rows: np.ndarray) -> "MonomialIdeal":
+    """The ideal generated by the rows of a non-negative integer exponent matrix with n columns."""
+    return MonomialIdeal._wrap(n, _minimal_rows(rows))
+
+
+def _capped_row(m: Monomial, rows: np.ndarray) -> np.ndarray:
+    """The exponents of m as a one-row matrix in the dtype of ``rows``, capped at its largest value.
+
+    The cap changes no comparison with, and no minimum against, an entry of ``rows``.
+    """
+    cap = int(np.iinfo(rows.dtype).max)
+    return np.array([[min(e, cap) for e in m.exps]], dtype=rows.dtype)
 
 
 class MonomialIdeal:
-    """A monomial ideal, held as its canonical minimal generating set.
+    """A monomial ideal, held as the exponent matrix of its minimal generators.
 
     The zero ideal has no generators; the unit ideal has the single
-    generator 1.  Construction minimalizes, and the exponent matrix of the
-    minimal generators in descending lex order is unique to the ideal, so
-    two ideals are equal exactly when their matrices coincide.  An ideal
-    holds a tuple of Monomials, the matrix ``exps``, or both; each is built
-    from the other on first read.
+    generator 1.  Every constructor minimalizes through ``_minimal_rows``,
+    and the matrix ``exps`` of the minimal generators in descending lex
+    order is unique to the ideal, so two ideals are equal exactly when
+    their matrices coincide.  ``gens`` caches the generators as Monomials,
+    built from the matrix on first read.
     """
 
     __slots__ = ("n", "_gens", "_rows")
 
     def __init__(self, n: int, gens: Iterable[Monomial] = ()):
-        # Keep the caller's Monomial objects: the first one seen per exponent tuple.
-        by_exps: dict[tuple[int, ...], Monomial] = {}
+        gens = tuple(gens)
         for g in gens:
             if g.n != n:
                 raise ValueError(f"generator {g} has {g.n} variables, expected {n}")
-            by_exps.setdefault(g.exps, g)
-        self.n = int(n)
-        self._gens = tuple(by_exps[t] for t in _minimalize_tuples(n, by_exps))
-        self._rows = None
+        self.n, self._gens, self._rows = int(n), None, _minimal_rows(_exponent_matrix(gens, n))
 
     @classmethod
     def _wrap(cls, n: int, rows: np.ndarray) -> "MonomialIdeal":
-        """The ideal of matrix rows already minimal, distinct and in descending lex order."""
+        """The ideal of a ``_frozen_rows`` matrix of minimal rows in descending lex order."""
         ideal = cls.__new__(cls)
-        ideal.n, ideal._gens, ideal._rows = n, None, _frozen_rows(rows)
+        ideal.n, ideal._gens, ideal._rows = n, None, rows
         return ideal
 
     @classmethod
     def zero(cls, n: int) -> "MonomialIdeal":
-        return cls(n, ())
+        return cls._wrap(n, _frozen_rows(np.zeros((0, n), dtype=np.uint8)))
 
     @classmethod
     def unit(cls, n: int) -> "MonomialIdeal":
-        return cls(n, (Monomial.one(n),))
+        return cls._wrap(n, _frozen_rows(np.zeros((1, n), dtype=np.uint8)))
 
     @classmethod
     def from_exponents(cls, n: int, rows: Iterable[Iterable[int]]) -> "MonomialIdeal":
-        return cls(n, (Monomial(r) for r in rows))
+        """The ideal of exponent rows of length n, read into one matrix without building Monomials.
+
+        A row of another length or a negative exponent raises ValueError;
+        an exponent past int64 raises OverflowError.
+        """
+        rows = list(map(tuple, rows))
+        matrix = np.array(rows, dtype=np.int64) if rows else np.zeros((0, n), dtype=np.int64)
+        if matrix.shape != (len(rows), n):
+            raise ValueError(f"exponent rows of length {n} expected, got shape {matrix.shape}")
+        if np.count_nonzero(matrix < 0):
+            raise ValueError("negative exponent")
+        return _ideal_from_rows(n, matrix)
 
     @property
     def gens(self) -> tuple[Monomial, ...]:
@@ -350,56 +361,43 @@ class MonomialIdeal:
     def exps(self) -> np.ndarray:
         """The minimal generators' exponent matrix, one row each in ``gens`` order, read-only.
 
-        Stored in the smallest unsigned dtype that fits and built on first
-        use; an exponent past int64 raises OverflowError.
+        Stored in the smallest unsigned dtype that holds its largest entry.
         """
-        if self._rows is None:
-            self._rows = _frozen_rows(_exponent_matrix(self._gens, self.n))
         return self._rows
 
     def is_zero(self) -> bool:
         return not self.num_gens()
 
     def num_gens(self) -> int:
-        return len(self._rows if self._gens is None else self._gens)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[Monomial]:
         return iter(self.gens)
 
     def __contains__(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.gens)
+        if m.n != self.n:
+            raise ValueError("ambient variable counts differ")
+        return bool(_divisible(_capped_row(m, self._rows), self._rows)[0])
 
     def is_contained_in(self, other: "MonomialIdeal") -> bool:
         """Whether a generator of ``other`` divides each generator of this ideal.
 
-        One blocked broadcast test of divisibility on the two matrices; an
-        exponent past int64 raises OverflowError, as in the other kernels.
+        One blocked broadcast test of divisibility on the two matrices: the
+        zero ideal lies in every ideal, and no other ideal lies in it.
         """
         if self.n != other.n:
             raise ValueError("ambient variable counts differ")
-        if self.is_zero() or other.is_zero():
-            return self.is_zero()
-        return bool(_divisible(self.exps, other.exps).all())
+        return bool(_divisible(self._rows, other._rows).all())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialIdeal) or self.n != other.n:
             return False
-        if self.num_gens() != other.num_gens():
-            return False
-        if self._gens is not None and other._gens is not None:
-            return self._gens == other._gens
-        try:
-            return np.array_equal(self.exps, other.exps)
-        except OverflowError:
-            # Only Monomials hold exponents past int64, and a kernel-built ideal never does.
-            return False
+        a, b = self._rows, other._rows
+        # The dtype follows from the largest entry, so equal shapes and bytes mean equal entries.
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def __hash__(self) -> int:
-        try:
-            rows = self.exps
-        except OverflowError:
-            return hash((self.n, self._gens))
-        # The dtype follows from the largest entry, so equal ideals have equal bytes.
+        rows = self._rows
         return hash((self.n, rows.shape, rows.tobytes()))
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
@@ -409,7 +407,7 @@ class MonomialIdeal:
             return self
         if self.is_zero():
             return other
-        a, b = self.exps, other.exps
+        a, b = self._rows, other._rows
         _check_int64(self.n, max(int(a.max(initial=0)), int(b.max(initial=0))))
         return _ideal_from_rows(self.n, np.concatenate((a, b)))
 
@@ -419,7 +417,7 @@ class MonomialIdeal:
             raise ValueError("ambient variable counts differ")
         if self.is_zero() or other.is_zero():
             return MonomialIdeal.zero(self.n)
-        return _ideal_from_rows(self.n, _product_rows(self.exps, other.exps))
+        return _ideal_from_rows(self.n, _product_rows(self._rows, other._rows))
 
     def scaled(self, m: Monomial) -> "MonomialIdeal":
         """The ideal m * I: one vector added to every row keeps them minimal and in lex order."""
@@ -427,9 +425,10 @@ class MonomialIdeal:
             return self
         if m.n != self.n:
             raise ValueError("ambient variable counts differ")
-        rows = self.exps
+        rows = self._rows
         _check_int64(self.n, int(rows.max(initial=0)) + max(m.exps, default=0))
-        return MonomialIdeal._wrap(self.n, rows.astype(np.int64) + np.array(m.exps, dtype=np.int64))
+        moved = rows.astype(np.int64) + np.array(m.exps, dtype=np.int64)
+        return MonomialIdeal._wrap(self.n, _frozen_rows(moved))
 
     def power(self, s: int) -> "MonomialIdeal":
         """I^s, with I^0 the unit ideal and I^s the zero ideal for s < 0."""
@@ -444,10 +443,11 @@ class MonomialIdeal:
         """The colon ideal (I : m), generated by u / gcd(u, m) over generators u."""
         if m.n != self.n:
             raise ValueError("ambient variable counts differ")
-        return MonomialIdeal(self.n, tuple(g / g.gcd(m) for g in self.gens))
+        rows = self._rows
+        return _ideal_from_rows(self.n, rows - np.minimum(rows, _capped_row(m, rows)))
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "gens": [list(g.exps) for g in self.gens]}
+        return {"n": self.n, "gens": self._rows.tolist()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "MonomialIdeal":
@@ -471,8 +471,6 @@ def squarefree_power_of_maximal(n: int, i: int) -> MonomialIdeal:
     """The ideal generated by all squarefree monomials x_F with |F| = i."""
     if i < 0 or i > n:
         raise ValueError(f"squarefree power index {i} outside [0, {n}]")
-    if i == 0:
-        return MonomialIdeal.unit(n)
     gens = (Monomial.from_support(n, F) for F in combinations(range(1, n + 1), i))
     return MonomialIdeal(n, tuple(gens))
 
@@ -482,20 +480,17 @@ def rename_variables(ideal: MonomialIdeal, targets: Sequence[int], n: int) -> Mo
 
     targets must send [ideal.n] injectively into [n]: a permutation
     relabels, an increasing list of positions embeds into a larger ring.
-    The identity returns the ideal itself.
+    The identity returns the ideal itself.  Column v of the exponent matrix
+    moves to column targets[v-1], and the rows are sorted again.
     """
     targets = tuple(targets)
     if len(targets) != ideal.n or len(set(targets) & set(range(1, n + 1))) != ideal.n:
         raise ValueError(f"targets {targets} do not map [{ideal.n}] injectively into [{n}]")
     if n == ideal.n and targets == tuple(range(1, n + 1)):
         return ideal
-    moved = []
-    for g in ideal.gens:
-        exps = [0] * n
-        for t, e in zip(targets, g.exps):
-            exps[t - 1] = e
-        moved.append(Monomial(exps))
-    return MonomialIdeal(n, moved)
+    rows = np.zeros((ideal.num_gens(), n), dtype=ideal.exps.dtype)
+    rows[:, [t - 1 for t in targets]] = ideal.exps
+    return _ideal_from_rows(n, rows)
 
 
 @dataclass(frozen=True)
@@ -545,41 +540,43 @@ def exchange_violation(ideal: MonomialIdeal) -> tuple | None:
 
     The property asks that u * x_j / x_i lie in the ideal for all
     generators u, v with u_i > v_i and u_j < v_j.  Only meaningful for
-    ideals generated in a single degree.
+    ideals generated in a single degree.  The rows of ``exps`` are read as
+    lists; Monomials are built only for a witness.
     """
-    gen_set = {g.exps for g in ideal.gens}
+    rows = ideal.exps.tolist()
+    present = set(map(tuple, rows))
     n = ideal.n
-    for u in ideal.gens:
-        for v in ideal.gens:
-            if u == v:
-                continue
+    for u in rows:
+        for v in rows:
             for i in range(n):
-                if u.exps[i] <= v.exps[i]:
+                if u[i] <= v[i]:
                     continue
                 for j in range(n):
-                    if u.exps[j] >= v.exps[j]:
+                    if u[j] >= v[j]:
                         continue
-                    e = list(u.exps)
+                    e = list(u)
                     e[i] -= 1
                     e[j] += 1
-                    if tuple(e) not in gen_set:
-                        return (u, v, i + 1, j + 1)
+                    if tuple(e) not in present:
+                        return (Monomial(u), Monomial(v), i + 1, j + 1)
     return None
 
 
 def has_strong_exchange(ideal: MonomialIdeal) -> bool:
     """Exhaustive check of the strong exchange property."""
-    if len({g.degree() for g in ideal.gens}) > 1:
+    if len(set(map(sum, ideal.exps.tolist()))) > 1:
         return False
     return exchange_violation(ideal) is None
 
 
 def divide_out(ideal: MonomialIdeal) -> tuple[Monomial, MonomialIdeal]:
-    """Split I = g * J with g the gcd of all generators and J of content 1."""
+    """Split I = g * J with g the gcd of all generators and J of content 1.
+
+    g is the column minimum of the exponent matrix; subtracting it from
+    every row keeps the rows minimal and in lex order.
+    """
     if ideal.is_zero():
         raise ValueError("cannot divide content out of the zero ideal")
-    content = ideal.gens[0]
-    for g in ideal.gens[1:]:
-        content = content.gcd(g)
-    core = MonomialIdeal(ideal.n, tuple(g / content for g in ideal.gens))
-    return content, core
+    rows = ideal.exps
+    content = rows.min(axis=0)
+    return Monomial(content.tolist()), MonomialIdeal._wrap(ideal.n, _frozen_rows(rows - content))

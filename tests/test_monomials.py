@@ -343,6 +343,48 @@ def test_kernels_refuse_int64_overflow():
         hs_linear_quotients(SetMap((mono(top),), (frozenset({1}),)), 1)
 
 
+def test_minimalization_sums_degrees_past_int64_exactly():
+    # Each entry fits int64, but the second generator's degree 2^64 does not:
+    # summed in int64 it wraps to 0 and x1 no longer looks like a divisor.
+    top = 2**63 - 1
+    rows = [(1, 0, 0), (top, top, 2)]
+    x1 = ideal(3, (1, 0, 0))
+    for I in (MonomialIdeal.from_exponents(3, rows), MonomialIdeal(3, [Monomial(r) for r in rows])):
+        assert I == x1 and hash(I) == hash(x1) and exps_of(I) == [(1, 0, 0)]
+    assert exps_of(ideal(3, (top, top, 2), (top, top, 1))) == [(top, top, 1)]
+
+
+def test_constructors_and_membership_refuse_malformed_input():
+    with pytest.raises(ValueError):
+        MonomialIdeal(2, [mono(1, 0), mono(1, 0, 0)])
+    with pytest.raises(ValueError):
+        MonomialIdeal.from_exponents(2, [(1, 0), (0, -1)])
+    # Ragged rows, and rows that agree with each other but not with n.
+    for rows in ([(1, 0), (1, 0, 0)], [(1, 0, 0)], [(1,), (0,)]):
+        with pytest.raises(ValueError):
+            MonomialIdeal.from_exponents(2, rows)
+    with pytest.raises(OverflowError):
+        MonomialIdeal.from_exponents(1, [(2**63,)])
+    for m in (mono(1, 0, 0), mono(1)):
+        with pytest.raises(ValueError):
+            m in ideal(2, (1, 0))
+        with pytest.raises(ValueError):
+            m in MonomialIdeal.zero(2)
+
+
+def test_membership_and_colon_exact_past_int64():
+    I = ideal(2, (2, 0), (1, 3))
+    assert mono(2, 0) in I and mono(1, 5) in I and mono(3, 1) in I
+    assert mono(1, 2) not in I and mono(0, 9) not in I
+    assert mono() in MonomialIdeal.unit(0) and mono() not in MonomialIdeal.zero(0)
+    # A monomial past int64 is compared exactly, not wrapped.
+    top = ideal(1, (2**63 - 1,))
+    assert mono(2**70) in top and mono(2**63 - 2) not in top
+    assert mono(2**70, 0) in I and mono(0, 2**70) not in I
+    assert top.colon(mono(2**70)) == MonomialIdeal.unit(1)
+    assert I.colon(mono(2**64, 1)) == ideal(2, (0, 0))
+
+
 def test_product_independent_of_blocks(monkeypatch):
     ideals = [comp_power_ideal(g, 2) for g in connected_graphs(5)[:6]]
     products = [I * J for I in ideals for J in ideals]
@@ -352,12 +394,16 @@ def test_product_independent_of_blocks(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the two forms of an ideal: Monomials and exponent matrix
+# two routes into the one form of an ideal: exponent rows and a kernel's matrix
 # ---------------------------------------------------------------------------
 
 
 def built(n, rows, path):
-    """The ideal of ``rows``, built from Monomials (path 0) or from an exponent matrix (path 1)."""
+    """The ideal of ``rows``, read from exponent rows (path 0) or from an int64 matrix (path 1).
+
+    Both routes end in the same minimalization, so the two must be
+    indistinguishable to every operation.
+    """
     if path == 0:
         return MonomialIdeal.from_exponents(n, rows)
     return _ideal_from_rows(n, np.array(rows, dtype=np.int64).reshape(len(rows), n))
