@@ -11,17 +11,19 @@ in its own labels: the variable order is descending lex under the
 permutation of ``lex_labeled_copy(g)``, which is x1 > ... > xn when the
 labels are already suffix-connected.
 
-Both steps key monomials by exact Python integers, never by exponent
-tuples: a vector with entries at most b - 1 is read as a base-b number.
-Powers are enumerated once per edge multiset, keyed by its degree vector
-(each degree at most s, so base s + 1, digits in the variable order);
-ascending keys are then descending lex order, and the first multiset per
-key is kept.  Set maps come from a hash lookup of (u / x_k) * x_j among the
-earlier generators, where the key of u / x_k is the key of u minus the
-weight of x_k.  Row bitsets then confirm that every colon is generated by
-those variables: per variable j and exponent e, one Python int marks the
-generators exceeding e in x_j, built once per set map with
-``np.packbits``, so each generator's check is a few integer ORs.
+Both steps key monomials by exact integers, never by exponent tuples: a
+vector with entries at most b - 1 is read as a base-b number.  Powers are
+enumerated once per edge multiset, keyed by its degree vector (each degree
+at most s, so base s + 1, digits in the variable order); ascending keys
+are then descending lex order, and the first multiset per key is kept.
+Set maps come from one sort of the drops u / x_k of all generators, keyed
+by the packed ``_lex_keys`` of u minus those of x_k: u_t / x_j = u / x_k
+exactly when u_t = (u / x_k) * x_j, so each run of equal keys pairs every
+generator with the earlier ones that put a variable into its set.  Row
+bitsets then confirm that every colon is generated by those variables:
+per variable j and exponent e, one Python int marks the generators
+exceeding e in x_j, built once per set map with ``np.packbits``, so each
+generator's check is a few integer ORs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
-from operator import mul
 from typing import Iterable
 
 import numpy as np
@@ -51,9 +52,12 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     _bit_rows,
+    _distinct_rows,
     _exponent_matrix,
     _frozen_rows,
     _ideal_from_rows,
+    _lex_keys,
+    _row_degrees,
 )
 
 
@@ -194,15 +198,18 @@ def _above_bitsets(rows: np.ndarray) -> list[dict[int, int]]:
 def set_map_colon(ordered: Iterable[Monomial]) -> SetMap:
     """Compute set(u) for each generator from the successive colon ideals.
 
-    The generators must all have the same degree (PreconditionError
-    otherwise).  Then u_t / gcd(u_t, u) has degree 1 exactly when
-    u_t = (u / x_k) * x_j, so set(u) collects the x_j found by looking up
-    each u / x_k among the earlier generators divided by one variable.
-    The lookup is keyed by exact integers: with top the largest exponent,
-    key(u) = sum of u_k * (top+1)^k has the exponents of u as its base-(top+1)
-    digits, so distinct monomials get distinct keys at any n, and
-    key(u / x_k) = key(u) - (top+1)^k costs one subtraction.  Generators
-    with the same set(u) share one frozenset.
+    The generators must be pairwise distinct (ValueError otherwise) and all
+    of one degree (PreconditionError otherwise).  Then u_t / gcd(u_t, u) has
+    degree 1 exactly when u_t = (u / x_k) * x_j, that is when u and u_t
+    have the same drop u / x_k = u_t / x_j.  One sort finds every such
+    pair: each drop is keyed by the packed ``_lex_keys`` of its row minus
+    those of the unit row x_k (the keys are linear in the row, so no drop
+    row is built), and the (drop, row) pairs are sorted by key, then by row.
+    A run of equal keys holds at most n pairs, one per k, with rows
+    ascending; each later row of a run gets the k of every earlier pair in
+    its set.  One vectorized step per offset within the runs does this,
+    exact at any n and exponent size.  Generators with the same set(u)
+    share one frozenset.
 
     Verifies the linear-quotients property along the way: each colon
     (u_1, ..., u_{i-1}) : (u_i) must be generated by variables, i.e. every
@@ -217,42 +224,51 @@ def set_map_colon(ordered: Iterable[Monomial]) -> SetMap:
     gens = tuple(ordered)
     if len({g.n for g in gens}) > 1:
         raise ValueError("ambient variable counts differ")
-    if len({g.exps for g in gens}) != len(gens):
+    n = gens[0].n if gens else 0
+    exps = _exponent_matrix(gens, n)
+    largest = int(exps.max(initial=0))
+    if len(_distinct_rows(exps, largest)) < len(gens):
         raise ValueError("ordered generators must be pairwise distinct")
     if not gens:
         return SetMap((), ())
-    if len({sum(g.exps) for g in gens}) != 1:
+    degrees = _row_degrees(exps, largest)
+    if np.count_nonzero(degrees != degrees[0]):
         raise PreconditionError("set_map_colon needs generators of a single degree")
-    n = gens[0].n
-    exps = _exponent_matrix(gens, n)
+    # One (row, k) pair per drop u / x_k, in row-major order.
+    row, col = np.nonzero(exps)
+    units = _lex_keys(np.eye(n, dtype=np.int64), largest)
+    drops = [key[row] - unit[col] for key, unit in zip(_lex_keys(exps, largest), units)]
+    order = np.lexsort([row, *drops])
+    row, col = row[order], col[order]
+    # same[p]: sorted pairs p and p + 1 have the same drop, so they lie in one run.
+    same = np.ones(max(len(row) - 1, 0), dtype=bool)
+    for drop in drops:
+        drop = drop[order]
+        same &= drop[1:] == drop[:-1]
+    # link[p]: sorted pairs p and p + d lie in one run, so x_col[p] is in set(u_row[p + d]).
+    found = np.zeros(exps.shape, dtype=bool)
+    link, d = same, 1
+    while link.any():
+        found[row[d:][link], col[:-d][link]] = True
+        link, d = link[:-1] & same[d:], d + 1
     above = _above_bitsets(exps)
-    weight = [(int(exps.max(initial=0)) + 1) ** k for k in range(n)]
-    # below[key(w)] has bit j set when w * x_j is an earlier generator.
-    below: dict[int, int] = {}
     # The columns and the frozenset of each distinct set(u), keyed by its bitmask.
     shared: dict[int, tuple[list[int], frozenset[int]]] = {}
     sets: list[frozenset[int]] = []
-    for i, g in enumerate(gens):
-        u = g.exps
-        key = sum(map(mul, u, weight))
-        drops = [(key - weight[k], 1 << k) for k in range(n) if u[k]]
-        mask = 0
-        for w, _ in drops:
-            mask |= below.get(w, 0)
+    for i, (g, mask) in enumerate(zip(gens, _bit_rows(found))):
         if mask not in shared:
-            found = [j for j in range(n) if mask >> j & 1]
-            shared[mask] = found, frozenset(j + 1 for j in found)
-        found, su = shared[mask]
+            cols = [j for j in range(n) if mask >> j & 1]
+            shared[mask] = cols, frozenset(j + 1 for j in cols)
+        cols, su = shared[mask]
         # Linear quotients: every earlier u_t exceeds u in some variable of set(u).
+        u = g.exps
         covered = 0
-        for j in found:
+        for j in cols:
             covered |= above[j][u[j]]
         earlier = (1 << i) - 1
         if covered & earlier != earlier:
             raise NotLinearQuotientsError(i, g)
         sets.append(su)
-        for w, bit in drops:
-            below[w] = below.get(w, 0) | bit
     return SetMap(gens, tuple(sets))
 
 

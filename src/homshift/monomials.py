@@ -13,15 +13,16 @@ their bytes.
 Minimalization, sums, products, scaling, colons and containment run on
 the matrices: packed integer keys order the rows and drop duplicates, and
 with mixed degrees a blocked broadcast divisibility test drops the rows
-that are not minimal.  An exponent past int64 raises OverflowError when
-the ideal is built; a kernel whose sums or degrees could pass int64
-raises it instead of wrapping.
+that are not minimal.  A non-integer exponent raises ValueError and one
+past int64 raises OverflowError when the ideal is built; a kernel whose
+sums or degrees could pass int64 raises OverflowError instead of wrapping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -30,13 +31,24 @@ import numpy as np
 _JOIN_BLOCK = 1 << 20
 
 
+def _integer_exponents(exps: Iterable[int]) -> tuple[int, ...]:
+    """The exponents as Python ints; a non-integer one, such as a float or a string, raises ValueError.
+
+    Python and numpy integers pass through ``operator.index``, so nothing is truncated or parsed.
+    """
+    try:
+        return tuple(map(index, exps))
+    except TypeError:
+        raise ValueError(f"exponents must be integers, got {exps!r}") from None
+
+
 class Monomial:
     """A monomial x1^e1 * ... * xn^en, stored as a tuple of exponents."""
 
     __slots__ = ("exps",)
 
     def __init__(self, exps: Iterable[int]):
-        exps = tuple(map(int, exps))
+        exps = _integer_exponents(exps)
         if exps and min(exps) < 0:
             raise ValueError(f"negative exponent in {exps}")
         object.__setattr__(self, "exps", exps)
@@ -259,6 +271,16 @@ def _divisible(rows: np.ndarray, by: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_degrees(rows: np.ndarray, largest: int) -> np.ndarray:
+    """The row sums of a matrix with entries up to ``largest``, exact at any size.
+
+    Summed in int64, or as Python ints where n times the largest entry passes int64.
+    """
+    if rows.shape[1] * largest <= _INT64_MAX:
+        return rows.sum(axis=1)
+    return np.array([sum(row) for row in rows.tolist()], dtype=object)
+
+
 def _minimal_rows(rows: np.ndarray) -> np.ndarray:
     """The minimal rows of a non-negative integer exponent matrix, as ``_frozen_rows`` holds them.
 
@@ -269,10 +291,7 @@ def _minimal_rows(rows: np.ndarray) -> np.ndarray:
     """
     largest = int(rows.max(initial=0))
     rows = _distinct_rows(rows, largest)
-    if rows.shape[1] * largest <= _INT64_MAX:
-        degrees = rows.sum(axis=1)
-    else:
-        degrees = np.array([sum(row) for row in rows.tolist()], dtype=object)
+    degrees = _row_degrees(rows, largest)
     if np.count_nonzero(degrees != degrees[:1]):
         keep = np.ones(len(rows), dtype=bool)
         for d in np.unique(degrees)[1:]:
@@ -336,11 +355,14 @@ class MonomialIdeal:
     def from_exponents(cls, n: int, rows: Iterable[Iterable[int]]) -> "MonomialIdeal":
         """The ideal of exponent rows of length n, read into one matrix without building Monomials.
 
-        A row of another length or a negative exponent raises ValueError;
-        an exponent past int64 raises OverflowError.
+        A row of another length, a negative exponent or a non-integer one
+        raises ValueError; an exponent past int64 raises OverflowError.
         """
         rows = list(map(tuple, rows))
-        matrix = np.array(rows, dtype=np.int64) if rows else np.zeros((0, n), dtype=np.int64)
+        matrix = np.array(rows) if rows else np.zeros((0, n), dtype=np.int64)
+        if matrix.dtype.kind != "i":
+            # Past int64, not integers, or no columns to infer a dtype from: check each entry.
+            matrix = np.array(list(map(_integer_exponents, rows)), dtype=np.int64)
         if matrix.shape != (len(rows), n):
             raise ValueError(f"exponent rows of length {n} expected, got shape {matrix.shape}")
         if np.count_nonzero(matrix < 0):

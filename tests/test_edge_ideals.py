@@ -1,6 +1,8 @@
 from datetime import timedelta
 from itertools import chain, combinations, combinations_with_replacement, product
 from math import comb, prod
+from operator import mul
+from random import Random
 
 import numpy as np
 import pytest
@@ -29,12 +31,21 @@ from homshift import (
     set_via_even_connected,
 )
 from homshift.corpus import connected_graphs, distance_labeled_trees
-from homshift.graphs import lex_labeled_copy, tree_distance_labeling, validate_lex_labeling
+from homshift.graphs import (
+    lex_labeled_copy,
+    relabel_graph,
+    tree_distance_labeling,
+    validate_lex_labeling,
+)
 from homshift.monomials import Monomial
 
 
 def path(n):
     return Graph(n, [(i, i + 1) for i in range(1, n)])
+
+
+def complete(n):
+    return Graph(n, list(combinations(range(1, n + 1), 2)))
 
 
 def ideal(n, *rows):
@@ -313,6 +324,83 @@ def test_set_map_colon_matches_brute_force_colons(case):
         expected.append(frozenset(v for g in colon.gens for v in g.support()))
     sm = set_map_colon(gens)
     assert sm.gens == tuple(gens) and sm.sets == tuple(expected)
+
+
+@st.composite
+def scaled_and_padded(draw):
+    """An ``equal_degree_orders`` case times (x1*...*xn)^c, embedded among variables of exponent c.
+
+    Neither step changes a colon.  The n original variables land at sorted
+    random positions among up to 70; c = 40 packs several columns per key
+    block, c = 2**40 leaves one key per column, and past 63 variables the
+    set bitmasks are read from packed bytes.
+    """
+    n, gens = draw(equal_degree_orders())
+    c = draw(st.sampled_from([40, 2**40]))
+    # Half the cases reach past 63 variables.
+    width = draw(st.one_of(st.integers(max(n, 1), 63), st.integers(64, 70)))
+    at = sorted(draw(st.permutations(range(width)))[:n])
+    wide = []
+    for g in gens:
+        row = [c] * width
+        for k, e in zip(at, g.exps):
+            row[k] += e
+        wide.append(Monomial(row))
+    return gens, wide, at
+
+
+@settings(derandomize=True, max_examples=150, deadline=timedelta(seconds=2), database=None)
+@given(scaled_and_padded())
+def test_set_map_colon_independent_of_key_blocks(case):
+    gens, wide, at = case
+    try:
+        sets = set_map_colon(gens).sets
+    except NotLinearQuotientsError as err:
+        with pytest.raises(NotLinearQuotientsError) as wide_err:
+            set_map_colon(wide)
+        assert wide_err.value.index == err.index
+        return
+    assert set_map_colon(wide).sets == tuple(frozenset(at[v - 1] + 1 for v in su) for su in sets)
+
+
+def _dict_lookup_sets(gens):
+    """set(u) by a hash lookup: each earlier drop u_t / x_j is stored with bit j, keyed as an integer.
+
+    With top the largest exponent, key(u) = sum of u_k * (top+1)^k and
+    key(u / x_k) = key(u) - (top+1)^k, so u / x_k collects the bits of
+    every earlier u_t = (u / x_k) * x_j.  Equal sets share one frozenset.
+    """
+    n = gens[0].n
+    weight = [(max(max(g.exps) for g in gens) + 1) ** k for k in range(n)]
+    below, shared, sets = {}, {}, []
+    for g in gens:
+        u = g.exps
+        key = sum(map(mul, u, weight))
+        drops = [(key - weight[k], 1 << k) for k in range(n) if u[k]]
+        mask = 0
+        for w, _ in drops:
+            mask |= below.get(w, 0)
+        if mask not in shared:
+            shared[mask] = frozenset(j + 1 for j in range(n) if mask >> j & 1)
+        sets.append(shared[mask])
+        for w, bit in drops:
+            below[w] = below.get(w, 0) | bit
+    return tuple(sets)
+
+
+def test_set_map_colon_matches_the_dict_lookup():
+    rng = Random(3)
+    cases = []
+    for g in (CycleLabeling(12).graph, path(12), complete(7)):
+        perm = list(g.vertices())
+        rng.shuffle(perm)
+        cases.append((relabel_graph(g, tuple(perm)), 3))
+    cases += [(g, 2) for g in connected_graphs(7)[::120]]
+    for g, s in cases:
+        sm = power_set_map(g, s)
+        assert sm.sets == _dict_lookup_sets(sm.gens)
+        # Each distinct set(u) is one object.
+        assert len(set(map(id, sm.sets))) == len(set(sm.sets))
 
 
 def test_set_map_matches_generic_colon():

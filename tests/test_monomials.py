@@ -372,6 +372,25 @@ def test_constructors_and_membership_refuse_malformed_input():
             m in MonomialIdeal.zero(2)
 
 
+def test_constructors_refuse_non_integer_exponents():
+    # Floats and strings are refused, not truncated or parsed.
+    for exps in ((1.5,), (1.0,), ("1",), (np.float64(2),), (1, None)):
+        with pytest.raises(ValueError, match="integers"):
+            Monomial(exps)
+        with pytest.raises(ValueError, match="integers"):
+            MonomialIdeal.from_exponents(len(exps), [exps])
+    for gens in ([[1.9, "2"]], [[1, 0], [0, 2.0]]):
+        with pytest.raises(ValueError, match="integers"):
+            MonomialIdeal.from_dict({"n": 2, "gens": gens})
+    # Python and numpy integers are read exactly; past int64 an ideal still overflows.
+    m = Monomial((np.int64(2), np.uint8(1), 2**70))
+    assert m.exps == (2, 1, 2**70) and all(type(e) is int for e in m.exps)
+    assert MonomialIdeal.from_exponents(2, [(np.uint64(1), np.int8(2))]) == ideal(2, (1, 2))
+    for rows in ([(2**63, 0)], [(2**64, 1)], [(np.uint64(2**63), 0)]):
+        with pytest.raises(OverflowError):
+            MonomialIdeal.from_exponents(2, rows)
+
+
 def test_membership_and_colon_exact_past_int64():
     I = ideal(2, (2, 0), (1, 3))
     assert mono(2, 0) in I and mono(1, 5) in I and mono(3, 1) in I
