@@ -144,14 +144,10 @@ def cmd_setmap(args) -> int:
     _require_power(args.s)
     g = _load_graph(args.graph)
     _require_connected(g)
-    facts = power_generators(g, args.s)
+    gens = power_generators(g, args.s)
     sm = power_set_map(g, args.s)
-    for fact, su in zip(facts, sm.sets):
-        record = {
-            "monomial": list(fact.monomial.exps),
-            "edges": [list(e) for e in fact.edges],
-            "set": sorted(su),
-        }
+    for row, edges, su in zip(gens.exps.tolist(), gens.edge_multisets(), sm.sets):
+        record = {"monomial": row, "edges": [list(e) for e in edges], "set": sorted(su)}
         if args.format == "json":
             print(_dump(record))
         else:

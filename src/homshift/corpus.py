@@ -131,12 +131,12 @@ def _record(check: str, subject, params: dict, verdict: bool, lhs_gens: int, rhs
 def check_set_maps(x: LabeledTree | CycleLabeling, s: int) -> dict:
     """Colon, even-connected and tree/cycle set maps agree on every generator of I^s."""
     kind, closed = ("tree", set_tree) if isinstance(x, LabeledTree) else ("cycle", set_cycle)
-    facts = power_generators(x.graph, s)
+    multisets = power_generators(x.graph, s).edge_multisets()
     ok = all(
-        su == set_via_even_connected(x.graph, f.edges) == closed(x, f.edges)
-        for f, su in zip(facts, power_set_map(x.graph, s).sets)
+        su == set_via_even_connected(x.graph, edges) == closed(x, edges)
+        for edges, su in zip(multisets, power_set_map(x.graph, s).sets)
     )
-    return _record(f"set-maps/{kind}", x, {"s": s}, ok, len(facts), len(facts))
+    return _record(f"set-maps/{kind}", x, {"s": s}, ok, len(multisets), len(multisets))
 
 
 def check_hs_formulas(x: LabeledTree | CycleLabeling, i: int, s: int) -> dict:

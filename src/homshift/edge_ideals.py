@@ -2,8 +2,10 @@
 
 The complementary edge ideal of a graph on [n] is generated by
 x1*...*xn / (xj*xk) over the edges {j, k}.  Every generator of its s-th
-power is (x1*...*xn)^s divided by a product of s edges; a Factorization
-pairs the monomial with one such edge list.  When the vertex labels make every
+power is (x1*...*xn)^s divided by a product of s edges.  The generators
+of a power are held as one read-only exponent matrix beside the kept edge
+multisets; a Factorization, the monomial paired with one such edge list,
+is built only when a caller reads one.  When the vertex labels make every
 suffix {i+1, ..., n} induce a connected subgraph, all powers have linear
 quotients in descending lex order, and set(u) collects the variables
 generating each successive colon ideal.  Any connected graph is worked on
@@ -13,9 +15,12 @@ labels are already suffix-connected.
 
 Both steps key monomials by exact integers, never by exponent tuples: a
 vector with entries at most b - 1 is read as a base-b number.  Powers are
-enumerated once per edge multiset, keyed by its degree vector (each degree
-at most s, so base s + 1, digits in the variable order); ascending keys
-are then descending lex order, and the first multiset per key is kept.
+enumerated once per edge multiset, walked as tuples of edge indices and
+keyed by its degree vector (each degree at most s, so base s + 1, digits
+in the variable order); ascending keys are then descending lex order, and
+the first multiset per key is kept.  One numpy step turns the kept
+multisets into the exponent matrix, s minus the sum of their edges'
+incidence rows, which the colon sweep and I^s read as it is.
 Set maps come from one sort of the drops u / x_k of all generators, keyed
 by the packed ``_lex_keys`` of u minus those of x_k: u_t / x_j = u / x_k
 exactly when u_t = (u / x_k) * x_j, so each run of equal keys pairs every
@@ -28,10 +33,10 @@ generator's check is a few integer ORs.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement
-from typing import Iterable
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 
@@ -70,16 +75,6 @@ def comp_edge_ideal(g: Graph) -> MonomialIdeal:
     return MonomialIdeal(g.n, tuple(gens))
 
 
-def _power_exponents(g: Graph, multiset: tuple) -> tuple[int, ...]:
-    """Exponents of alpha^s divided by the product of the s edges in ``multiset``."""
-    s = len(multiset)
-    exps = [s] * g.n
-    for a, b in multiset:
-        exps[a - 1] -= 1
-        exps[b - 1] -= 1
-    return tuple(exps)
-
-
 @dataclass(frozen=True, slots=True)
 class Factorization:
     """A power generator: alpha^s divided by the product of the s edges in ``edges``.
@@ -100,14 +95,54 @@ def _check_power_args(g: Graph, s: int) -> None:
         raise PreconditionError("power generators require a connected graph")
 
 
+class PowerGenerators(Sequence):
+    """The generators of a power, in enumeration order, held as arrays.
+
+    ``exps`` is the read-only exponent matrix, one row per generator, in
+    the smallest unsigned dtype that fits.  ``edge_multisets()`` lists each
+    row's edges in sorted order, repeats included, without building a
+    Monomial.  Indexing and iteration build the Factorizations on demand;
+    nothing built is kept.
+    """
+
+    __slots__ = ("exps", "_edges", "_multisets")
+
+    def __init__(self, exps: np.ndarray, edges: tuple[Edge, ...], multisets: np.ndarray):
+        # multisets[r] holds the sorted indices into ``edges`` of row r's edges.
+        self.exps, self._edges, self._multisets = exps, edges, multisets
+
+    def __len__(self) -> int:
+        return len(self.exps)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        row = self.exps[index].tolist()
+        edges = tuple(map(self._edges.__getitem__, self._multisets[index].tolist()))
+        return Factorization(Monomial(row), edges)
+
+    def __iter__(self) -> Iterator[Factorization]:
+        return map(Factorization, self.monomials(), self.edge_multisets())
+
+    def monomials(self) -> tuple[Monomial, ...]:
+        """The generators as Monomials, built from ``exps`` in one pass."""
+        return Monomial._wrap_all(list(zip(*self.exps.T.tolist())))
+
+    def edge_multisets(self) -> list[tuple[Edge, ...]]:
+        """Each generator's edges in sorted order, repeats included, one tuple per row."""
+        columns = (map(self._edges.__getitem__, col) for col in self._multisets.T.tolist())
+        return list(zip(*columns))
+
+
 @lru_cache(maxsize=None)
-def power_generators(g: Graph, s: int) -> tuple[Factorization, ...]:
-    """One Factorization per distinct minimal generator of the s-th power.
+def power_generators(g: Graph, s: int) -> PowerGenerators:
+    """The distinct minimal generators of the s-th power, one edge multiset each.
 
     Everything stays in g's labels; only the variable order comes from the
     permutation perm of ``lex_labeled_copy(g)``: monomials are listed in
     descending lex order of their images under perm, which is x1 > ... > xn
-    for suffix-connected labels.
+    for suffix-connected labels.  The result holds the exponent matrix and
+    the kept multisets; its items are the Factorizations, built when read.
 
     Each edge multiset M is keyed by an exact integer: vertex v weighs
     (s+1)^(n - perm[v]), an edge weighs the sum of its two ends, and M the
@@ -120,22 +155,28 @@ def power_generators(g: Graph, s: int) -> tuple[Factorization, ...]:
     image under perm is lexicographically smallest is kept as the canonical
     expression.  Enumerating the edges by descending weight, which is
     ascending lex order of their images, makes that the first multiset
-    reached.
+    reached.  Multisets are walked as tuples of indices into ``g.edges``,
+    and one numpy step subtracts the kept rows of the edge incidence
+    matrix from s.
     """
     _check_power_args(g, s)
     _, perm = lex_labeled_copy(g)
     vertex = {v: (s + 1) ** (g.n - perm[v - 1]) for v in g.vertices()}
-    weight = {(a, b): vertex[a] + vertex[b] for a, b in g.edges}
-    edges = sorted(g.edges, key=weight.__getitem__, reverse=True)
-    keys = map(sum, combinations_with_replacement([weight[e] for e in edges], s))
-    first: dict[int, tuple[Edge, ...]] = {}
-    for _ in map(first.setdefault, keys, combinations_with_replacement(edges, s)):
+    weight = [vertex[a] + vertex[b] for a, b in g.edges]
+    order = sorted(range(len(g.edges)), key=weight.__getitem__, reverse=True)
+    keys = map(sum, combinations_with_replacement([weight[e] for e in order], s))
+    first: dict[int, tuple[int, ...]] = {}
+    for _ in map(first.setdefault, keys, combinations_with_replacement(order, s)):
         pass
-    kept = [first[key] for key in sorted(first)]
-    monomials = Monomial._wrap_all([_power_exponents(g, multiset) for multiset in kept])
-    return tuple(
-        Factorization(m, tuple(sorted(multiset))) for m, multiset in zip(monomials, kept)
-    )
+    flat = chain.from_iterable(map(first.__getitem__, sorted(first)))
+    kept = np.fromiter(flat, dtype=np.intp, count=len(first) * s).reshape(len(first), s)
+    # Degrees are at most s, so every sum fits the dtype of s.
+    incidence = np.zeros((len(g.edges), g.n), dtype=np.min_scalar_type(s))
+    incidence[np.arange(len(g.edges))[:, None], np.array(g.edges) - 1] = 1
+    exps = _frozen_rows(s - incidence[kept].sum(axis=1, dtype=incidence.dtype))
+    # Indices into the sorted g.edges sort like the edges themselves.
+    multisets = np.sort(kept, axis=1).astype(np.min_scalar_type(len(g.edges) - 1))
+    return PowerGenerators(exps, g.edges, multisets)
 
 
 @dataclass(frozen=True)
@@ -191,7 +232,9 @@ def _above_bitsets(rows: np.ndarray) -> list[dict[int, int]]:
     above = []
     for col in rows.T:
         values = sorted(set(col.tolist()))
-        above.append(dict(zip(values, _bit_rows(col[None, :] > np.array(values)[:, None]))))
+        # Compared in the column's own dtype, so the column is not cast.
+        cuts = np.array(values, dtype=col.dtype)[:, None]
+        above.append(dict(zip(values, _bit_rows(col[None, :] > cuts))))
     return above
 
 
@@ -225,12 +268,21 @@ def set_map_colon(ordered: Iterable[Monomial]) -> SetMap:
     if len({g.n for g in gens}) > 1:
         raise ValueError("ambient variable counts differ")
     n = gens[0].n if gens else 0
-    exps = _exponent_matrix(gens, n)
+    return SetMap(gens, _set_map_rows(_exponent_matrix(gens, n), n))
+
+
+def _set_map_rows(exps: np.ndarray, n: int) -> tuple[frozenset[int], ...]:
+    """set(u) for each row of an exponent matrix with n columns, as ``set_map_colon`` does it.
+
+    The rows are the generators in their given order, with non-negative
+    entries within int64.  Raises as ``set_map_colon`` does; the
+    NotLinearQuotientsError carries the failing row as a Monomial.
+    """
     largest = int(exps.max(initial=0))
-    if len(_distinct_rows(exps, largest)) < len(gens):
+    if len(_distinct_rows(exps, largest)) < len(exps):
         raise ValueError("ordered generators must be pairwise distinct")
-    if not gens:
-        return SetMap((), ())
+    if not len(exps):
+        return ()
     degrees = _row_degrees(exps, largest)
     if np.count_nonzero(degrees != degrees[0]):
         raise PreconditionError("set_map_colon needs generators of a single degree")
@@ -255,21 +307,22 @@ def set_map_colon(ordered: Iterable[Monomial]) -> SetMap:
     # The columns and the frozenset of each distinct set(u), keyed by its bitmask.
     shared: dict[int, tuple[list[int], frozenset[int]]] = {}
     sets: list[frozenset[int]] = []
-    for i, (g, mask) in enumerate(zip(gens, _bit_rows(found))):
+    # One list per column, not one per row: entry (i, j) is columns[j][i].
+    columns = exps.T.tolist()
+    for i, mask in enumerate(_bit_rows(found)):
         if mask not in shared:
             cols = [j for j in range(n) if mask >> j & 1]
             shared[mask] = cols, frozenset(j + 1 for j in cols)
         cols, su = shared[mask]
         # Linear quotients: every earlier u_t exceeds u in some variable of set(u).
-        u = g.exps
         covered = 0
         for j in cols:
-            covered |= above[j][u[j]]
+            covered |= above[j][columns[j][i]]
         earlier = (1 << i) - 1
         if covered & earlier != earlier:
-            raise NotLinearQuotientsError(i, g)
+            raise NotLinearQuotientsError(i, Monomial(exps[i].tolist()))
         sets.append(su)
-    return SetMap(gens, tuple(sets))
+    return tuple(sets)
 
 
 def set_via_even_connected(g: Graph, edges: tuple[Edge, ...]) -> frozenset[int]:
@@ -338,10 +391,15 @@ def power_set_map(g: Graph, s: int) -> SetMap:
     """Set map of the s-th power in the order of ``power_generators``; cached per (g, s).
 
     The order has linear quotients for every connected g, so the sets are
-    in g's own labels.
+    in g's own labels.  The sweep reads the generators' exponent matrix,
+    the same one ``set_map_colon`` builds from Monomials, and the set map
+    keeps that matrix as its ``exps``; no Factorization is built.
     """
-    facts = power_generators(g, s)
-    return set_map_colon([f.monomial for f in facts])
+    gens = power_generators(g, s)
+    sm = SetMap(gens.monomials(), _set_map_rows(gens.exps, g.n))
+    # Seed the cached matrix: it is the one the generators were read from.
+    vars(sm)["exps"] = gens.exps
+    return sm
 
 
 def comp_power_ideal(g: Graph, s: int) -> MonomialIdeal:
@@ -351,8 +409,7 @@ def comp_power_ideal(g: Graph, s: int) -> MonomialIdeal:
     if s == 0:
         return MonomialIdeal.unit(g.n)
     # The generators come in the lex order of lex_labeled_copy's labels, not of g's own.
-    rows = _exponent_matrix([f.monomial for f in power_generators(g, s)], g.n)
-    return _ideal_from_rows(g.n, rows)
+    return _ideal_from_rows(g.n, power_generators(g, s).exps)
 
 
 def pd_of_power(g: Graph, s: int) -> int:

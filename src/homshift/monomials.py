@@ -16,6 +16,8 @@ with mixed degrees a blocked broadcast divisibility test drops the rows
 that are not minimal.  A non-integer exponent raises ValueError and one
 past int64 raises OverflowError when the ideal is built; a kernel whose
 sums or degrees could pass int64 raises OverflowError instead of wrapping.
+A serialized variable count, a Veronese cap or degree that is a bool or
+not an integer raises ValueError; nothing is truncated or parsed.
 """
 
 from __future__ import annotations
@@ -40,6 +42,19 @@ def _integer_exponents(exps: Iterable[int]) -> tuple[int, ...]:
         return tuple(map(index, exps))
     except TypeError:
         raise ValueError(f"exponents must be integers, got {exps!r}") from None
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int; a bool or a non-integer, such as a float or a string, raises ValueError.
+
+    bool is an int subclass, so ``operator.index`` alone would read true as 1.
+    """
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 class Monomial:
@@ -473,7 +488,7 @@ class MonomialIdeal:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MonomialIdeal":
-        return cls.from_exponents(int(data["n"]), data["gens"])
+        return cls.from_exponents(_integer(data["n"], "n"), data["gens"])
 
     def __repr__(self) -> str:
         return f"MonomialIdeal(n={self.n}, gens={[str(g) for g in self.gens]})"
@@ -517,20 +532,23 @@ def rename_variables(ideal: MonomialIdeal, targets: Sequence[int], n: int) -> Mo
 
 @dataclass(frozen=True)
 class VeroneseSpec:
-    """Cap vector and degree cutting out an ideal of Veronese type."""
+    """Cap vector and degree cutting out an ideal of Veronese type.
+
+    Caps and degree must be integers, not bools (ValueError otherwise).
+    """
 
     caps: tuple[int, ...]
     degree: int
 
     def __post_init__(self):
-        caps = tuple(int(c) for c in self.caps)
+        caps = tuple(_integer(c, "cap") for c in self.caps)
+        degree = _integer(self.degree, "degree")
         object.__setattr__(self, "caps", caps)
+        object.__setattr__(self, "degree", degree)
         if any(c < 0 for c in caps):
             raise ValueError(f"negative cap in {caps}")
-        if not 0 <= self.degree <= sum(caps):
-            raise ValueError(
-                f"degree {self.degree} outside [0, {sum(caps)}] for caps {caps}"
-            )
+        if not 0 <= degree <= sum(caps):
+            raise ValueError(f"degree {degree} outside [0, {sum(caps)}] for caps {caps}")
 
 
 def _capped_exponents(caps: Sequence[int], d: int) -> Iterator[tuple[int, ...]]:

@@ -1,9 +1,10 @@
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 
-from homshift import CycleLabeling, MonomialIdeal, corpus, graph_to_dict, hs_power
+from homshift import CycleLabeling, Graph, MonomialIdeal, corpus, graph_to_dict, hs_power
 from homshift.betti import DEFAULT_GEN_CAP
 from homshift.cli import build_parser, main
 from homshift.graphs import relabel_graph
@@ -173,6 +174,21 @@ def test_setmap_command_keeps_input_labels(capsys, tmp_path):
     assert code == 0 and len(out.splitlines()) == 21
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "1efcca36ab3e09baaad4ade9881f7e356763e149a0d8abe02ab02a4e158581a1"
+
+
+def test_setmap_command_output_digests(capsys, tmp_path):
+    # K4 collides multisets on one monomial; this P6 is not suffix-connected.
+    k4 = Graph(4, list(combinations(range(1, 5), 2)))
+    p6 = relabel_graph(Graph(6, [(i, i + 1) for i in range(1, 6)]), (4, 1, 6, 2, 5, 3))
+    expected = {
+        "k4": (44, "cd356e3a3c3f83bb5867c3159fe6694b7833a65e60aebb374e2a6c4f0a1bbcb3"),
+        "p6": (35, "729898f677705932f088c7a811a3253af199ebebf75be46070525c096dcc1e3b"),
+    }
+    for name, g in (("k4", k4), ("p6", p6)):
+        path = write_graph(tmp_path, f"{name}.json", graph_to_dict(g))
+        code, out, _ = run(capsys, "setmap", "--graph", path, "--s", "3", "--format", "json")
+        assert code == 0
+        assert (len(out.splitlines()), hashlib.sha256(out.encode()).hexdigest()) == expected[name]
 
 
 def test_oracle_command(capsys, p4):

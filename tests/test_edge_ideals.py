@@ -6,7 +6,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import homshift.edge_ideals
@@ -171,6 +171,26 @@ def _first_multisets_in_lex_order(g, s):
 def test_power_generators_match_tuple_keyed_enumeration(g, s):
     facts = power_generators(g, s)
     assert [(f.monomial.exps, f.edges) for f in facts] == _first_multisets_in_lex_order(g, s)
+
+
+@settings(derandomize=True, max_examples=80, deadline=timedelta(seconds=5), database=None)
+@given(named_connected_graphs(), st.integers(1, 3))
+# The smallest catalog graph whose kept multisets change when the edges are walked by ascending weight.
+@example(complete(5), 3)
+def test_power_matrix_matches_factorizations(g, s):
+    gens = power_generators(g, s)
+    assert not gens.exps.flags.writeable
+    rows = [tuple(row) for row in gens.exps.tolist()]
+    multisets = gens.edge_multisets()
+    # The arrays alone give the enumeration by definition, first multiset per monomial.
+    assert list(zip(rows, multisets)) == _first_multisets_in_lex_order(g, s)
+    for row, edges in zip(rows, multisets):
+        assert row == tuple(s - sum(v in e for e in edges) for v in g.vertices())
+    facts = list(gens)
+    assert len(gens) == len(facts) == len(rows)
+    assert rows == [f.monomial.exps for f in facts]
+    assert multisets == [f.edges for f in facts]
+    assert gens[-1] == facts[-1] and gens[:2] == tuple(facts[:2])
 
 
 def test_power_keys_past_int64():

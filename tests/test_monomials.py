@@ -391,6 +391,23 @@ def test_constructors_refuse_non_integer_exponents():
             MonomialIdeal.from_exponents(2, rows)
 
 
+def test_variable_count_caps_and_degree_refuse_non_integers():
+    # Neither truncated, parsed nor read as a bool.
+    for n in (2.9, "2", True, None):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            MonomialIdeal.from_dict({"n": n, "gens": [[1, 2]]})
+    for caps in ((1.5, 2), ("1", 2), (True, 2)):
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            VeroneseSpec(caps, 2)
+    for degree in (1.5, "1", False):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            VeroneseSpec((1, 2), degree)
+    # numpy integers are read exactly.
+    assert MonomialIdeal.from_dict({"n": np.int64(2), "gens": [[1, 2]]}) == ideal(2, (1, 2))
+    spec = VeroneseSpec((np.uint8(1), 2), np.int64(2))
+    assert spec == VeroneseSpec((1, 2), 2) and type(spec.degree) is int
+
+
 def test_membership_and_colon_exact_past_int64():
     I = ideal(2, (2, 0), (1, 3))
     assert mono(2, 0) in I and mono(1, 5) in I and mono(3, 1) in I
