@@ -229,8 +229,7 @@ def lcm_lattice(
         found.append(frontier)
     lattice = np.concatenate(found)
     lattice = lattice[np.lexsort(lattice.T[::-1])]
-    # Columns to tuples of Python ints, wrapped without re-validation.
-    return list(Monomial._wrap_all(list(zip(*lattice.T.tolist()))))
+    return list(Monomial._wrap_all(lattice))
 
 
 @dataclass(frozen=True)

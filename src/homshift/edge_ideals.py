@@ -28,7 +28,10 @@ generator with the earlier ones that put a variable into its set.  Row
 bitsets then confirm that every colon is generated by those variables:
 per variable j and exponent e, one Python int marks the generators
 exceeding e in x_j, built once per set map with ``np.packbits``, so each
-generator's check is a few integer ORs.
+generator's check is a few integer ORs.  A set map holds two read-only
+arrays, the exponent matrix and the bool matrix whose row r marks the
+variables of set(u_r); HS_i and pd read them, and its Monomials and
+frozensets are built only when a caller reads ``gens`` or ``sets``.
 """
 
 from __future__ import annotations
@@ -126,7 +129,7 @@ class PowerGenerators(Sequence):
 
     def monomials(self) -> tuple[Monomial, ...]:
         """The generators as Monomials, built from ``exps`` in one pass."""
-        return Monomial._wrap_all(list(zip(*self.exps.T.tolist())))
+        return Monomial._wrap_all(self.exps)
 
     def edge_multisets(self) -> list[tuple[Edge, ...]]:
         """Each generator's edges in sorted order, repeats included, one tuple per row."""
@@ -179,44 +182,38 @@ def power_generators(g: Graph, s: int) -> PowerGenerators:
     return PowerGenerators(exps, g.edges, multisets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SetMap:
-    """Ordered generators of an ideal with linear quotients and their set(u)."""
+    """Ordered generators of an ideal with linear quotients and their set(u), as two arrays.
 
-    gens: tuple[Monomial, ...]
-    sets: tuple[frozenset[int], ...]
+    ``exps`` is the generators' exponent matrix, one row each in order, and
+    ``members`` the bool matrix of the same shape with ``members[r, j]``
+    true when x_{j+1} lies in set(u_r); both are read-only.  ``gens`` and
+    ``sets`` are views built on first read.  Equality and hashing are by
+    identity.
+    """
 
-    @cached_property
-    def exps(self) -> np.ndarray:
-        """The generators' exponent matrix, one row per generator, read-only.
-
-        Built on first use and kept in the smallest unsigned dtype that fits,
-        since cached set maps live for the whole process.  Not a field, so it
-        takes no part in equality, hashing or repr.
-        """
-        return _frozen_rows(_exponent_matrix(self.gens, self.n))
+    exps: np.ndarray
+    members: np.ndarray
 
     @cached_property
-    def set_columns(self) -> np.ndarray:
-        """Each set(u) as its sorted 0-based columns, one row per generator, read-only.
+    def gens(self) -> tuple[Monomial, ...]:
+        """The generators as Monomials, built from ``exps`` on first read."""
+        return Monomial._wrap_all(self.exps)
 
-        Rows shorter than the largest set(u) are padded with -1.  Built on
-        first use in the smallest signed dtype that fits and, like ``exps``,
-        not a field.
+    @cached_property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        """Each set(u) as a frozenset of 1-based variables, built from ``members`` on first read.
+
+        Generators with the same set(u) share one frozenset.
         """
-        width = max(map(len, self.sets), default=0)
-        # Padding with 0 before the shift to 0-based columns makes it -1.
-        padded = {su: sorted(su) + [0] * (width - len(su)) for su in set(self.sets)}
-        cols = np.array(
-            [padded[su] for su in self.sets], dtype=np.min_scalar_type(-max(self.n, 1))
-        ).reshape(len(self.sets), width)
-        cols -= 1
-        cols.flags.writeable = False
-        return cols
+        masks = _bit_rows(self.members)
+        shared = {m: frozenset(j + 1 for j in range(self.n) if m >> j & 1) for m in set(masks)}
+        return tuple(map(shared.__getitem__, masks))
 
     @property
     def n(self) -> int:
-        return self.gens[0].n if self.gens else 0
+        return self.exps.shape[1]
 
     def items(self):
         return zip(self.gens, self.sets)
@@ -251,8 +248,8 @@ def set_map_colon(ordered: Iterable[Monomial]) -> SetMap:
     A run of equal keys holds at most n pairs, one per k, with rows
     ascending; each later row of a run gets the k of every earlier pair in
     its set.  One vectorized step per offset within the runs does this,
-    exact at any n and exponent size.  Generators with the same set(u)
-    share one frozenset.
+    exact at any n and exponent size.  The set map keeps the generators'
+    exponent matrix and the bool matrix of their sets.
 
     Verifies the linear-quotients property along the way: each colon
     (u_1, ..., u_{i-1}) : (u_i) must be generated by variables, i.e. every
@@ -267,22 +264,26 @@ def set_map_colon(ordered: Iterable[Monomial]) -> SetMap:
     gens = tuple(ordered)
     if len({g.n for g in gens}) > 1:
         raise ValueError("ambient variable counts differ")
-    n = gens[0].n if gens else 0
-    return SetMap(gens, _set_map_rows(_exponent_matrix(gens, n), n))
+    exps = _exponent_matrix(gens, gens[0].n if gens else 0)
+    return SetMap(_frozen_rows(exps), _set_map_rows(exps))
 
 
-def _set_map_rows(exps: np.ndarray, n: int) -> tuple[frozenset[int], ...]:
-    """set(u) for each row of an exponent matrix with n columns, as ``set_map_colon`` does it.
+def _set_map_rows(exps: np.ndarray) -> np.ndarray:
+    """The read-only bool matrix of set(u) for the rows of an exponent matrix, as ``set_map_colon`` finds it.
 
     The rows are the generators in their given order, with non-negative
-    entries within int64.  Raises as ``set_map_colon`` does; the
-    NotLinearQuotientsError carries the failing row as a Monomial.
+    entries within int64; entry (r, j) is true when x_{j+1} is in set(u_r).
+    Raises as ``set_map_colon`` does; the NotLinearQuotientsError carries
+    the failing row as a Monomial.
     """
+    n = exps.shape[1]
     largest = int(exps.max(initial=0))
     if len(_distinct_rows(exps, largest)) < len(exps):
         raise ValueError("ordered generators must be pairwise distinct")
+    found = np.zeros(exps.shape, dtype=bool)
     if not len(exps):
-        return ()
+        found.flags.writeable = False
+        return found
     degrees = _row_degrees(exps, largest)
     if np.count_nonzero(degrees != degrees[0]):
         raise PreconditionError("set_map_colon needs generators of a single degree")
@@ -298,31 +299,27 @@ def _set_map_rows(exps: np.ndarray, n: int) -> tuple[frozenset[int], ...]:
         drop = drop[order]
         same &= drop[1:] == drop[:-1]
     # link[p]: sorted pairs p and p + d lie in one run, so x_col[p] is in set(u_row[p + d]).
-    found = np.zeros(exps.shape, dtype=bool)
     link, d = same, 1
     while link.any():
         found[row[d:][link], col[:-d][link]] = True
         link, d = link[:-1] & same[d:], d + 1
     above = _above_bitsets(exps)
-    # The columns and the frozenset of each distinct set(u), keyed by its bitmask.
-    shared: dict[int, tuple[list[int], frozenset[int]]] = {}
-    sets: list[frozenset[int]] = []
+    # The columns of each distinct set(u), keyed by its bitmask.
+    shared: dict[int, list[int]] = {}
     # One list per column, not one per row: entry (i, j) is columns[j][i].
     columns = exps.T.tolist()
     for i, mask in enumerate(_bit_rows(found)):
         if mask not in shared:
-            cols = [j for j in range(n) if mask >> j & 1]
-            shared[mask] = cols, frozenset(j + 1 for j in cols)
-        cols, su = shared[mask]
+            shared[mask] = [j for j in range(n) if mask >> j & 1]
         # Linear quotients: every earlier u_t exceeds u in some variable of set(u).
         covered = 0
-        for j in cols:
+        for j in shared[mask]:
             covered |= above[j][columns[j][i]]
         earlier = (1 << i) - 1
         if covered & earlier != earlier:
             raise NotLinearQuotientsError(i, Monomial(exps[i].tolist()))
-        sets.append(su)
-    return tuple(sets)
+    found.flags.writeable = False
+    return found
 
 
 def set_via_even_connected(g: Graph, edges: tuple[Edge, ...]) -> frozenset[int]:
@@ -381,9 +378,9 @@ def set_cycle(c: CycleLabeling, edges: tuple[Edge, ...]) -> frozenset[int]:
 
 def pd_linear_quotients(sm: SetMap) -> int:
     """Projective dimension as the largest |set(u)| over the generators."""
-    if not sm.gens:
+    if not len(sm.exps):
         raise PreconditionError("projective dimension of the zero ideal is undefined")
-    return max((len(s) for s in sm.sets), default=0)
+    return int(np.count_nonzero(sm.members, axis=1).max())
 
 
 @lru_cache(maxsize=None)
@@ -391,15 +388,11 @@ def power_set_map(g: Graph, s: int) -> SetMap:
     """Set map of the s-th power in the order of ``power_generators``; cached per (g, s).
 
     The order has linear quotients for every connected g, so the sets are
-    in g's own labels.  The sweep reads the generators' exponent matrix,
-    the same one ``set_map_colon`` builds from Monomials, and the set map
-    keeps that matrix as its ``exps``; no Factorization is built.
+    in g's own labels.  The set map keeps the generators' exponent matrix
+    as its ``exps``; no Factorization and no Monomial is built.
     """
-    gens = power_generators(g, s)
-    sm = SetMap(gens.monomials(), _set_map_rows(gens.exps, g.n))
-    # Seed the cached matrix: it is the one the generators were read from.
-    vars(sm)["exps"] = gens.exps
-    return sm
+    exps = power_generators(g, s).exps
+    return SetMap(exps, _set_map_rows(exps))
 
 
 def comp_power_ideal(g: Graph, s: int) -> MonomialIdeal:

@@ -13,11 +13,12 @@ their bytes.
 Minimalization, sums, products, scaling, colons and containment run on
 the matrices: packed integer keys order the rows and drop duplicates, and
 with mixed degrees a blocked broadcast divisibility test drops the rows
-that are not minimal.  A non-integer exponent raises ValueError and one
-past int64 raises OverflowError when the ideal is built; a kernel whose
-sums or degrees could pass int64 raises OverflowError instead of wrapping.
-A serialized variable count, a Veronese cap or degree that is a bool or
-not an integer raises ValueError; nothing is truncated or parsed.
+that are not minimal.  A bool or non-integer exponent raises ValueError
+and one past int64 raises OverflowError when the ideal is built; a
+kernel whose sums or degrees could pass int64 raises OverflowError
+instead of wrapping.  A serialized variable count, a Veronese cap or
+degree that is a bool or not an integer raises ValueError; nothing is
+truncated or parsed.
 """
 
 from __future__ import annotations
@@ -34,14 +35,18 @@ _JOIN_BLOCK = 1 << 20
 
 
 def _integer_exponents(exps: Iterable[int]) -> tuple[int, ...]:
-    """The exponents as Python ints; a non-integer one, such as a float or a string, raises ValueError.
+    """The exponents as Python ints; a bool or a non-integer one, such as a float or a string, raises ValueError.
 
-    Python and numpy integers pass through ``operator.index``, so nothing is truncated or parsed.
+    Python and numpy integers pass through ``operator.index``, so nothing is
+    truncated or parsed; bool is an int subclass, so it is refused first.
     """
     try:
-        return tuple(map(index, exps))
+        exps = tuple(exps)
+        if bool not in map(type, exps):
+            return tuple(map(index, exps))
     except TypeError:
-        raise ValueError(f"exponents must be integers, got {exps!r}") from None
+        pass
+    raise ValueError(f"exponents must be integers, got {exps!r}")
 
 
 def _integer(value, what: str) -> int:
@@ -69,11 +74,13 @@ class Monomial:
         object.__setattr__(self, "exps", exps)
 
     @classmethod
-    def _wrap_all(cls, rows: list[tuple[int, ...]]) -> tuple["Monomial", ...]:
-        """One Monomial per tuple of non-negative Python ints, without re-validating them."""
-        out = list(map(cls.__new__, repeat(cls, len(rows))))
+    def _wrap_all(cls, rows: np.ndarray) -> tuple["Monomial", ...]:
+        """One Monomial per row of a non-negative integer exponent matrix, without re-validating it."""
+        # Columns to tuples: no list per row; with no columns, each row is the tuple ().
+        tuples = list(zip(*rows.T.tolist())) if rows.shape[1] else [()] * len(rows)
+        out = list(map(cls.__new__, repeat(cls, len(tuples))))
         # Assigning through the slot descriptor skips a Python frame per monomial.
-        for _ in map(_EXPS_SLOT, out, rows):
+        for _ in map(_EXPS_SLOT, out, tuples):
             pass
         return tuple(out)
 
@@ -388,10 +395,7 @@ class MonomialIdeal:
     def gens(self) -> tuple[Monomial, ...]:
         """The minimal generators in descending lex order, built from ``exps`` on first read."""
         if self._gens is None:
-            rows = self._rows
-            # Columns to tuples: no list per row; with no columns, each row is the tuple ().
-            tuples = list(zip(*rows.T.tolist())) if self.n else [()] * len(rows)
-            self._gens = Monomial._wrap_all(tuples)
+            self._gens = Monomial._wrap_all(self._rows)
         return self._gens
 
     @property
@@ -488,7 +492,8 @@ class MonomialIdeal:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MonomialIdeal":
-        return cls.from_exponents(_integer(data["n"], "n"), data["gens"])
+        # Each row is checked on its own: np.array would read JSON true beside an int as 1.
+        return cls.from_exponents(_integer(data["n"], "n"), map(_integer_exponents, data["gens"]))
 
     def __repr__(self) -> str:
         return f"MonomialIdeal(n={self.n}, gens={[str(g) for g in self.gens]})"

@@ -63,27 +63,28 @@ from .monomials import (
 def hs_linear_quotients(sm: SetMap, i: int) -> MonomialIdeal:
     """HS_i from a linear-quotients set map: all x_F * u with F in set(u).
 
-    Generators are grouped by |set(u)|, read off ``sm.set_columns``; each
-    class adds its one-hot x_F rows to the repeated exponent rows by one
-    fancy-indexed update.
+    Generators are grouped by |set(u)|, the row counts of ``sm.members``;
+    each class adds its one-hot x_F rows to the repeated exponent rows by
+    one fancy-indexed update.
     """
     n = sm.n
     if i < 0:
         return MonomialIdeal.zero(n)
     if i == 0:
         return _ideal_from_rows(n, sm.exps)
+    # Checked before the cast, which would wrap an entry past int64.
+    _check_int64(n, int(sm.exps.max(initial=0)) + 1)
     gens = sm.exps.astype(np.int64)
-    _check_int64(n, int(gens.max(initial=0)) + 1)
-    cols = sm.set_columns
-    sizes = np.count_nonzero(cols >= 0, axis=1)
+    sizes = np.count_nonzero(sm.members, axis=1)
     blocks = []
     for c in sorted(set(sizes[sizes >= i].tolist())):
-        members = np.flatnonzero(sizes == c)
-        sets = cols[members, :c].astype(np.intp)
+        at = np.flatnonzero(sizes == c)
+        # Row-major order lists each row's columns in ascending order.
+        sets = np.nonzero(sm.members[at])[1].reshape(-1, c)
         combos = list(combinations(range(c), i))
         # Row r * len(combos) + f gets x_F for F the f-th i-subset of set(u_r).
         picks = sets[:, combos].reshape(-1, i)
-        rows = np.repeat(gens[members], len(combos), axis=0)
+        rows = np.repeat(gens[at], len(combos), axis=0)
         rows[np.arange(len(rows))[:, None], picks] += 1
         blocks.append(rows)
     if not blocks:

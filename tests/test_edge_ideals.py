@@ -19,7 +19,6 @@ from homshift import (
     SetMap,
     comp_edge_ideal,
     comp_power_ideal,
-    hs_linear_quotients,
     pd_formula,
     pd_linear_quotients,
     pd_of_power,
@@ -265,19 +264,34 @@ def test_set_map_colon_rejects_mixed_variable_counts(monkeypatch):
 
 
 def test_set_map_keeps_its_exponent_matrix():
-    sm = power_set_map(CycleLabeling(5).graph, 2)
-    assert sm.exps.tolist() == [list(u.exps) for u in sm.gens]
-    assert not sm.exps.flags.writeable
-    assert sm.exps is sm.exps
-    # Not a field: no part of eq, hash or repr, and not a constructor argument.
-    bare = SetMap(sm.gens, sm.sets)
-    assert bare == sm and hash(bare) == hash(sm) and repr(bare) == repr(sm)
-    assert "exps" not in vars(bare)
-    assert SetMap((), ()).exps.shape == (0, 0)
-    # Construction builds no matrix: only HS_i refuses an exponent past int64.
-    huge = SetMap((Monomial((2**63, 0)),), (frozenset({2}),))
-    with pytest.raises(OverflowError):
-        hs_linear_quotients(huge, 1)
+    g = CycleLabeling(5).graph
+    sm = power_set_map(g, 2)
+    # The matrix the generators were read from, and set(u) as a bool matrix of the same shape.
+    assert sm.exps is power_generators(g, 2).exps
+    assert sm.members.dtype == bool and sm.members.shape == sm.exps.shape
+    colon = set_map_colon(Monomial(row) for row in sm.exps.tolist())
+    for arrays in (sm, colon):
+        for array in (arrays.exps, arrays.members):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
+    assert colon.exps.dtype == sm.exps.dtype and colon.exps.tolist() == sm.exps.tolist()
+    assert colon.members.tolist() == sm.members.tolist()
+    # gens and sets are built on first read, once, and are not constructor arguments.
+    bare = SetMap(sm.exps, sm.members)
+    assert "gens" not in vars(bare) and "sets" not in vars(bare)
+    gens, sets = bare.gens, bare.sets
+    assert bare.gens is gens and bare.sets is sets
+    assert [u.exps for u in gens] == [tuple(row) for row in sm.exps.tolist()]
+    assert sets == tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in sm.members)
+    assert bare.n == 5 and list(bare.items()) == list(zip(gens, sets))
+    # Equality and hashing are by identity.
+    twin = SetMap(sm.exps, sm.members)
+    assert bare == bare and bare != twin and len({bare, twin}) == 2
+    assert hash(bare) == object.__hash__(bare)
+    empty = set_map_colon([])
+    assert empty.exps.shape == empty.members.shape == (0, 0)
+    assert empty.gens == () and empty.sets == () and empty.n == 0
 
 
 def test_comp_power_ideal_rows_in_own_labels():
@@ -292,28 +306,6 @@ def test_comp_power_ideal_rows_in_own_labels():
         }
         assert [tuple(row) for row in power.exps.tolist()] == sorted(expected, reverse=True)
         assert power == ideal(8, *expected)
-
-
-def test_set_map_keeps_its_set_columns():
-    sm = power_set_map(CycleLabeling(5).graph, 2)
-    bare = SetMap(sm.gens, sm.sets)
-    # Built on first use, not at construction.
-    assert "set_columns" not in vars(bare)
-    cols = bare.set_columns
-    assert "set_columns" in vars(bare) and bare.set_columns is cols
-    width = max(len(su) for su in sm.sets)
-    assert cols.shape == (len(sm.sets), width)
-    assert cols.tolist() == [sorted(v - 1 for v in su) + [-1] * (width - len(su)) for su in sm.sets]
-    assert cols.dtype == np.int8 and not cols.flags.writeable
-    with pytest.raises(ValueError):
-        cols[0, 0] = 0
-    # Not a field: no part of eq, hash or repr.
-    assert bare == sm and hash(bare) == hash(sm) and repr(bare) == repr(sm)
-    assert "set_columns" not in repr(bare)
-    assert SetMap((), ()).set_columns.shape == (0, 0)
-    # The dtype is the smallest signed one that holds n - 1.
-    wide = SetMap((Monomial((0,) * 199 + (1,)),), (frozenset({1, 200}),))
-    assert wide.set_columns.dtype == np.int16 and wide.set_columns.tolist() == [[0, 199]]
 
 
 @st.composite

@@ -284,13 +284,14 @@ def test_ideal_sum_and_product_match_definitions(case):
 
 @st.composite
 def set_maps(draw):
-    """Distinct generators of mixed degrees with arbitrary sets, and an index i."""
+    """Distinct generators of mixed degrees with an arbitrary bool member matrix, and an index i."""
     n = draw(st.integers(0, 5))
     rows = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), unique=True, max_size=6))
-    variables = st.sets(st.integers(1, n)) if n else st.just(set())
-    sets = [frozenset(draw(variables)) for _ in rows]
+    members = [draw(st.tuples(*[st.booleans()] * n)) for _ in rows]
     i = draw(st.integers(-1, n + 1))
-    return SetMap(tuple(Monomial(r) for r in rows), tuple(sets)), i
+    shape = (len(rows), n)
+    exps = np.array(rows, dtype=np.uint8).reshape(shape)
+    return SetMap(exps, np.array(members, dtype=bool).reshape(shape)), i
 
 
 @KERNEL_PROPERTY
@@ -311,7 +312,7 @@ def test_kernels_on_zero_unit_and_no_variables():
         assert zero * unit == unit * zero == zero * zero == zero
         assert unit * unit == unit + zero == zero + unit == unit + unit == unit
         assert zero + zero == zero
-        units = SetMap((Monomial.one(n),), (frozenset(range(1, n + 1)),))
+        units = SetMap(np.zeros((1, n), dtype=np.uint8), np.ones((1, n), dtype=bool))
         for i in range(n + 1):
             assert hs_linear_quotients(units, i) == squarefree_power_of_maximal(n, i)
         assert hs_linear_quotients(units, n + 1) == zero
@@ -336,11 +337,14 @@ def test_kernels_refuse_int64_overflow():
     assert big.is_contained_in(unit) and not unit.is_contained_in(big)
     with pytest.raises(OverflowError):
         ideal(1, (2**63,)).is_contained_in(MonomialIdeal.unit(1))
-    assert exps_of(hs_linear_quotients(SetMap((mono(top - 1),), (frozenset({1}),)), 1)) == [
-        (top,)
-    ]
-    with pytest.raises(OverflowError):
-        hs_linear_quotients(SetMap((mono(top),), (frozenset({1}),)), 1)
+    # Building a set map checks nothing; only HS_i refuses a sum past int64.
+    one = np.ones((1, 1), dtype=bool)
+    near = SetMap(np.array([[top - 1]], dtype=np.uint64), one)
+    assert exps_of(hs_linear_quotients(near, 1)) == [(top,)]
+    for row in (top, 2**63):
+        past = SetMap(np.array([[row]], dtype=np.uint64), one)
+        with pytest.raises(OverflowError):
+            hs_linear_quotients(past, 1)
 
 
 def test_minimalization_sums_degrees_past_int64_exactly():
@@ -406,6 +410,22 @@ def test_variable_count_caps_and_degree_refuse_non_integers():
     assert MonomialIdeal.from_dict({"n": np.int64(2), "gens": [[1, 2]]}) == ideal(2, (1, 2))
     spec = VeroneseSpec((np.uint8(1), 2), np.int64(2))
     assert spec == VeroneseSpec((1, 2), 2) and type(spec.degree) is int
+
+
+def test_exponents_refuse_bools():
+    # bool is an int subclass, and np.array reads true beside an int as 1.
+    calls = [
+        lambda: Monomial((True, 2)),
+        lambda: MonomialIdeal.from_exponents(2, [(True, False)]),
+        lambda: MonomialIdeal.from_dict({"n": 1, "gens": [[True]]}),
+        lambda: MonomialIdeal.from_dict({"n": 2, "gens": [[True, 2]]}),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            call()
+    # numpy integers and JSON ints still pass.
+    assert MonomialIdeal.from_dict({"n": 2, "gens": [[np.uint8(1), 2]]}) == ideal(2, (1, 2))
+    assert MonomialIdeal.from_dict({"n": 2, "gens": [[1, 2], [0, 3]]}) == ideal(2, (1, 2), (0, 3))
 
 
 def test_membership_and_colon_exact_past_int64():

@@ -387,6 +387,28 @@ def test_power_route_builds_no_factorization(monkeypatch):
     assert len(list(power_generators(c8, 3))) == len(built) > 0
 
 
+def test_power_route_builds_no_set_map_views(monkeypatch):
+    built, real_wrap_all = [], Monomial._wrap_all.__func__
+
+    def counting(cls, rows):
+        built.append(len(rows))
+        return real_wrap_all(cls, rows)
+
+    monkeypatch.setattr(Monomial, "_wrap_all", classmethod(counting))
+    c8 = relabel_graph(CycleLabeling(8).graph, (5, 2, 8, 3, 7, 1, 6, 4))
+    for cached in (power_generators, power_set_map, hs_power):
+        cached.cache_clear()
+    pd = pd_of_power(c8, 3)
+    assert pd == 6
+    for i in range(pd + 1):
+        hs_power(c8, i, 3)
+    sm = power_set_map(c8, 3)
+    assert "gens" not in vars(sm) and "sets" not in vars(sm)
+    assert built == []
+    # Reading the views is what builds them.
+    assert len(sm.gens) == len(sm.sets) == built[0] > 0
+
+
 def test_spanning_path_shift_sum_is_first_component():
     # sum over spanning paths of HS_i equals the k = 0 slice of the cycle form
     for n in (4, 5):
