@@ -13,18 +13,20 @@ in its own labels: the variable order is descending lex under the
 permutation of ``lex_labeled_copy(g)``, which is x1 > ... > xn when the
 labels are already suffix-connected.
 
-Both steps key monomials by exact integers, never by exponent tuples: a
-vector with entries at most b - 1 is read as a base-b number.  Powers are
-enumerated once per edge multiset, walked as tuples of edge indices and
-keyed by its degree vector (each degree at most s, so base s + 1, digits
-in the variable order); ascending keys are then descending lex order, and
-the first multiset per key is kept.  One numpy step turns the kept
-multisets into the exponent matrix, s minus the sum of their edges'
-incidence rows, which the colon sweep and I^s read as it is.
-Set maps come from one sort of the drops u / x_k of all generators, keyed
-by the packed ``_lex_keys`` of u minus those of x_k: u_t / x_j = u / x_k
-exactly when u_t = (u / x_k) * x_j, so each run of equal keys pairs every
-generator with the earlier ones that put a variable into its set.  Row
+Both steps key monomials by exact integers, never by exponent tuples.
+Powers are enumerated once per edge multiset, walked as tuples of edge
+indices and keyed by its degree vector read as a base-(s + 1) number
+(each degree at most s, digits in the variable order); ascending keys
+are then descending lex order, and the first multiset per key is kept.
+One numpy step turns the kept multisets into the exponent matrix, s
+minus the sum of their edges' incidence rows, which the colon sweep and
+I^s read as it is.  Set maps come from one sort of the drops u / x_k of
+all generators, keyed by the bit-packed ``_lex_keys`` of u minus those
+of x_k: u_t / x_j = u / x_k exactly when u_t = (u / x_k) * x_j, so each
+run of equal keys pairs every generator with the earlier ones that put
+a variable into its set.  Where a row fits one int64 key with the bits
+of a pair index to spare, that sort is one ``np.sort`` of
+drop * 2^k + pair; otherwise one ``np.lexsort`` of the keys.  Row
 bitsets then confirm that every colon is generated by those variables:
 per variable j and exponent e, one Python int marks the generators
 exceeding e in x_j, built once per set map with ``np.packbits``, so each
@@ -60,10 +62,11 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     _bit_rows,
-    _distinct_rows,
+    _distinct_keys,
     _exponent_matrix,
     _frozen_rows,
     _ideal_from_rows,
+    _key_bits,
     _lex_keys,
     _row_degrees,
 )
@@ -244,10 +247,12 @@ def set_map_colon(ordered: Iterable[Monomial]) -> SetMap:
     have the same drop u / x_k = u_t / x_j.  One sort finds every such
     pair: each drop is keyed by the packed ``_lex_keys`` of its row minus
     those of the unit row x_k (the keys are linear in the row, so no drop
-    row is built), and the (drop, row) pairs are sorted by key, then by row.
-    A run of equal keys holds at most n pairs, one per k, with rows
-    ascending; each later row of a run gets the k of every earlier pair in
-    its set.  One vectorized step per offset within the runs does this,
+    row is built), and the (drop, row) pairs are sorted by key, then by row:
+    by one ``np.sort`` of drop * 2^k + pair, the pairs numbered in row-major
+    order, where a drop is one key with k bits to spare, and by
+    ``np.lexsort`` otherwise.  A run of equal keys holds at most n pairs,
+    one per k, with rows ascending; each later row of a run gets the k of
+    every earlier pair in its set.  One vectorized step per offset within the runs does this,
     exact at any n and exponent size.  The set map keeps the generators'
     exponent matrix and the bool matrix of their sets.
 
@@ -278,7 +283,8 @@ def _set_map_rows(exps: np.ndarray) -> np.ndarray:
     """
     n = exps.shape[1]
     largest = int(exps.max(initial=0))
-    if len(_distinct_rows(exps, largest)) < len(exps):
+    keys = _lex_keys(exps, largest)
+    if len(_distinct_keys(keys)[0]) < len(exps):
         raise ValueError("ordered generators must be pairwise distinct")
     found = np.zeros(exps.shape, dtype=bool)
     if not len(exps):
@@ -290,14 +296,23 @@ def _set_map_rows(exps: np.ndarray) -> np.ndarray:
     # One (row, k) pair per drop u / x_k, in row-major order.
     row, col = np.nonzero(exps)
     units = _lex_keys(np.eye(n, dtype=np.int64), largest)
-    drops = [key[row] - unit[col] for key, unit in zip(_lex_keys(exps, largest), units)]
-    order = np.lexsort([row, *drops])
-    row, col = row[order], col[order]
+    drops = [key[row] - unit[col] for key, unit in zip(keys, units)]
+    # Where a drop and the index of its pair fit one int64, one np.sort of
+    # drop * 2^k + pair orders the pairs by drop, then by row, as the lexsort does.
     # same[p]: sorted pairs p and p + 1 have the same drop, so they lie in one run.
-    same = np.ones(max(len(row) - 1, 0), dtype=bool)
-    for drop in drops:
-        drop = drop[order]
-        same &= drop[1:] == drop[:-1]
+    index_bits = max(len(row) - 1, 0).bit_length()
+    if n * _key_bits(largest) + index_bits <= 63:
+        packed = np.sort((drops[0] << index_bits) | np.arange(len(row)))
+        order = packed & ((1 << index_bits) - 1)
+        drop = packed >> index_bits
+        same = drop[1:] == drop[:-1]
+    else:
+        order = np.lexsort([row, *drops])
+        same = np.ones(max(len(row) - 1, 0), dtype=bool)
+        for drop in drops:
+            drop = drop[order]
+            same &= drop[1:] == drop[:-1]
+    row, col = row[order], col[order]
     # link[p]: sorted pairs p and p + d lie in one run, so x_col[p] is in set(u_row[p + d]).
     link, d = same, 1
     while link.any():

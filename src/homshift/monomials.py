@@ -11,8 +11,14 @@ on the ideal alone, so equality compares matrices and the hash reads
 their bytes.
 
 Minimalization, sums, products, scaling, colons and containment run on
-the matrices: packed integer keys order the rows and drop duplicates, and
-with mixed degrees a blocked broadcast divisibility test drops the rows
+the matrices.  Rows are ordered on bit-packed int64 keys, b = bit length
+of the largest entry bits per entry, most significant column first; a
+row fits one key whenever n * b <= 63, and longer rows take a few keys
+sorted by ``np.lexsort``.  Minimalization sorts the keys and gathers one
+original row per distinct key.  Products add the keys of the two
+factors by broadcasting, one ``np.sort`` drops repeats where one key
+holds a row, and only the distinct keys are unpacked by shift and mask.
+With mixed degrees a blocked broadcast divisibility test drops the rows
 that are not minimal.  A bool or non-integer exponent raises ValueError
 and one past int64 raises OverflowError when the ideal is built; a
 kernel whose sums or degrees could pass int64 raises OverflowError
@@ -24,6 +30,7 @@ truncated or parsed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, repeat
 from operator import index
 from typing import Iterable, Iterator, Sequence
@@ -224,61 +231,107 @@ def _bit_rows(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _lex_keys(rows: np.ndarray, largest: int) -> list[np.ndarray]:
-    """Sort keys of a non-negative exponent matrix whose entries are at most ``largest``.
+def _key_bits(largest: int) -> int:
+    """Bits per entry in a sort key of entries up to ``largest``: its bit length, at least 1."""
+    return max(1, largest.bit_length())
 
-    Most significant first.  Runs of consecutive columns are packed into
-    one int64 each, as digits of base (largest + 1), so comparing the keys
-    in turn compares the rows lexicographically with fewer passes than one
-    per column, and two rows are equal exactly when all their keys are.
+
+@lru_cache(maxsize=64)
+def _key_layout(n: int, bits: int) -> tuple[tuple[slice, np.ndarray, np.ndarray], ...]:
+    """Per sort key of n columns at ``bits`` bits each, most significant first: its columns, weights and shifts.
+
+    A key packs the next 63 // bits columns, the first one in the highest
+    bits; with no columns there is one key, 0 for every row.
     """
-    base = largest + 1
-    # base ** width < 2 ** (bit length * width) <= 2 ** 63.
-    width = max(1, 63 // base.bit_length())
-    if width == 1:
-        return list(rows.T)
-    rows = rows.astype(np.int64, copy=False)
-    keys = []
-    for start in range(0, rows.shape[1], width):
-        block = rows[:, start : start + width]
-        keys.append(block @ base ** np.arange(block.shape[1] - 1, -1, -1, dtype=np.int64))
-    return keys
+    width = 63 // bits
+    layout = []
+    for start in range(0, max(n, 1), width):
+        stop = min(start + width, n)
+        shifts = bits * np.arange(stop - start - 1, -1, -1, dtype=np.int64)
+        weights = np.left_shift(1, shifts)
+        shifts.flags.writeable = weights.flags.writeable = False
+        layout.append((slice(start, stop), weights, shifts))
+    return tuple(layout)
+
+
+def _lex_keys(rows: np.ndarray, largest: int) -> list[np.ndarray]:
+    """Sort keys of a non-negative exponent matrix whose entries are at most ``largest``, within int64.
+
+    Most significant first.  Each entry takes b = bit_length(largest) bits
+    and each int64 key packs the next 63 // b columns, the first column
+    highest, so comparing the keys in turn compares the rows
+    lexicographically and two rows are equal exactly when all their keys
+    are.  Whenever n * b <= 63 one key holds the whole row.  No field
+    carries into the next, so the keys of a sum of rows whose entries stay
+    within ``largest`` are the sums of their keys, and ``_unpack`` reads
+    rows back from keys by shift and mask.
+    """
+    if rows.dtype == np.uint64:
+        # Against int64 weights numpy would promote uint64 to float64.
+        rows = rows.astype(np.int64)
+    layout = _key_layout(rows.shape[1], _key_bits(largest))
+    return [rows[:, cols] @ weights for cols, weights, _ in layout]
+
+
+def _unpack(keys: list[np.ndarray], n: int, largest: int) -> np.ndarray:
+    """The int64 rows of n columns whose ``_lex_keys`` at ``largest`` are ``keys``: one shift and mask per key."""
+    bits = _key_bits(largest)
+    mask = (1 << bits) - 1
+    layout = _key_layout(n, bits)
+    blocks = [(key[:, None] >> shifts) & mask for key, (_, _, shifts) in zip(keys, layout)]
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+
+
+def _run_starts(keys: list[np.ndarray]) -> np.ndarray:
+    """For sorted key arrays, where each run of equal key tuples starts."""
+    first = np.zeros(len(keys[0]), dtype=bool)
+    first[:1] = True
+    for key in keys:
+        first[1:] |= key[1:] != key[:-1]
+    return first
 
 
 def _distinct_rows(rows: np.ndarray, largest: int) -> np.ndarray:
-    """The distinct rows of a matrix with entries up to ``largest``, in descending lex order."""
-    if not rows.shape[1]:
-        # The only monomial in no variables is 1, and its row has no entries to key.
-        return rows[:1]
-    keys = _lex_keys(rows, largest)
-    order = np.lexsort(keys[::-1])[::-1]
-    # Sorted, equal rows are adjacent and have equal keys: keep the first of each run.
-    first = np.zeros(len(rows), dtype=bool)
-    first[:1] = True
-    for key in keys:
-        key = key[order]
-        first[1:] |= key[1:] != key[:-1]
-    return rows[order[first]]
+    """One original row per distinct row of a matrix with entries up to ``largest``, in descending lex order.
 
-
-def _product_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The distinct sums of a row of ``a`` and a row of ``b``, neither matrix empty.
-
-    One broadcast sum per block of ``_JOIN_BLOCK`` entries, deduplicated
-    block by block; the blocks are concatenated unordered.  Entries that
-    could pass int64 raise OverflowError.
+    A stable ``np.lexsort`` of the ``_lex_keys`` (one key whenever the row
+    fits one) orders the rows, and the first row of each run of equal keys
+    is gathered, so no row is unpacked.  On the matrices of a few dozen
+    rows that minimalization mostly sees, this measured faster than
+    ``np.argsort``.
     """
-    n = a.shape[1]
-    largest = int(a.max(initial=0)) + int(b.max(initial=0))
-    _check_int64(n, largest)
-    a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
-    step = max(1, _JOIN_BLOCK // max(b.size, 1))
-    blocks = []
-    for k in range(0, len(a), step):
-        block = a[k : k + step]
-        sums = block[:, None, :] + b[None, :, :]
-        blocks.append(_distinct_rows(sums.reshape(len(block) * len(b), n), largest))
-    return np.concatenate(blocks)
+    keys = _lex_keys(rows, largest)
+    order = np.lexsort(keys[::-1])
+    return rows[order[_run_starts([key[order] for key in keys])][::-1]]
+
+
+def _distinct_keys(keys: list[np.ndarray]) -> list[np.ndarray]:
+    """The distinct key tuples in descending order, one array per key; one key takes one ``np.sort``."""
+    if len(keys) == 1:
+        keys = [np.sort(keys[0])]
+    else:
+        order = np.lexsort(keys[::-1])
+        keys = [key[order] for key in keys]
+    first = _run_starts(keys)
+    return [key[first][::-1] for key in keys]
+
+
+def _product_keys(a: np.ndarray, b: np.ndarray, largest: int) -> list[np.ndarray]:
+    """The distinct ``_lex_keys`` at ``largest`` of the sums of a row of ``a`` and a row of ``b``, descending.
+
+    ``largest`` bounds every sum, so the keys of a sum are the sums of the
+    keys: one broadcast sum per key and block of ``_JOIN_BLOCK`` entries,
+    deduplicated block by block and once more across blocks.  No row
+    matrix of the sums is built.  Neither matrix is empty.
+    """
+    ka, kb = _lex_keys(a, largest), _lex_keys(b, largest)
+    step = max(1, _JOIN_BLOCK // (len(b) * len(kb)))
+    blocks = [
+        _distinct_keys([(x[k : k + step, None] + y).ravel() for x, y in zip(ka, kb)])
+        for k in range(0, len(a), step)
+    ]
+    keys = [np.concatenate(parts) for parts in zip(*blocks)]
+    return keys if len(blocks) == 1 else _distinct_keys(keys)
 
 
 def _divisible(rows: np.ndarray, by: np.ndarray) -> np.ndarray:
@@ -306,13 +359,23 @@ def _row_degrees(rows: np.ndarray, largest: int) -> np.ndarray:
 def _minimal_rows(rows: np.ndarray) -> np.ndarray:
     """The minimal rows of a non-negative integer exponent matrix, as ``_frozen_rows`` holds them.
 
-    The rows come out distinct and in descending lex order.  Equal-degree
-    rows never divide one another; with mixed degrees a row is dropped
-    when a row of lower degree divides it.  Degrees are summed in int64,
-    or as Python ints where n times the largest entry passes int64.
+    ``_distinct_rows`` keeps one original row per distinct row, in
+    descending lex order, and ``_minimal_distinct`` drops the multiples.
+    An entry past int64 raises OverflowError.
     """
     largest = int(rows.max(initial=0))
-    rows = _distinct_rows(rows, largest)
+    if largest > _INT64_MAX:
+        raise OverflowError(f"exponent {largest} passes the int64 range")
+    return _minimal_distinct(_distinct_rows(rows, largest), largest)
+
+
+def _minimal_distinct(rows: np.ndarray, largest: int) -> np.ndarray:
+    """The minimal rows of distinct rows in descending lex order whose largest entry is ``largest``, frozen.
+
+    Equal-degree rows never divide one another; with mixed degrees a row is
+    dropped when a row of lower degree divides it.  Degrees are summed in
+    int64, or as Python ints where n times the largest entry passes int64.
+    """
     degrees = _row_degrees(rows, largest)
     if np.count_nonzero(degrees != degrees[:1]):
         keep = np.ones(len(rows), dtype=bool)
@@ -327,6 +390,16 @@ def _minimal_rows(rows: np.ndarray) -> np.ndarray:
 def _ideal_from_rows(n: int, rows: np.ndarray) -> "MonomialIdeal":
     """The ideal generated by the rows of a non-negative integer exponent matrix with n columns."""
     return MonomialIdeal._wrap(n, _minimal_rows(rows))
+
+
+def _ideal_from_keys(n: int, keys: list[np.ndarray], largest: int) -> "MonomialIdeal":
+    """The ideal generated by the rows of n columns whose ``_lex_keys`` at ``largest`` are ``keys``.
+
+    The keys are distinct and descending, so only the distinct rows are
+    unpacked, already in descending lex order.
+    """
+    rows = _unpack(keys, n, largest)
+    return MonomialIdeal._wrap(n, _minimal_distinct(rows, int(rows.max(initial=0))))
 
 
 def _capped_row(m: Monomial, rows: np.ndarray) -> np.ndarray:
@@ -453,12 +526,15 @@ class MonomialIdeal:
         return _ideal_from_rows(self.n, np.concatenate((a, b)))
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """All pairwise products of generators, summed on exponent matrices."""
+        """All pairwise products of generators, summed as packed ``_lex_keys`` and unpacked once distinct."""
         if self.n != other.n:
             raise ValueError("ambient variable counts differ")
         if self.is_zero() or other.is_zero():
             return MonomialIdeal.zero(self.n)
-        return _ideal_from_rows(self.n, _product_rows(self._rows, other._rows))
+        a, b = self._rows, other._rows
+        largest = int(a.max(initial=0)) + int(b.max(initial=0))
+        _check_int64(self.n, largest)
+        return _ideal_from_keys(self.n, _product_keys(a, b, largest), largest)
 
     def scaled(self, m: Monomial) -> "MonomialIdeal":
         """The ideal m * I: one vector added to every row keeps them minimal and in lex order."""

@@ -49,8 +49,11 @@ from .monomials import (
     MonomialIdeal,
     VeroneseSpec,
     _check_int64,
+    _distinct_keys,
+    _ideal_from_keys,
     _ideal_from_rows,
-    _product_rows,
+    _lex_keys,
+    _product_keys,
     divide_out,
     has_strong_exchange,
     maximal_ideal,
@@ -63,33 +66,39 @@ from .monomials import (
 def hs_linear_quotients(sm: SetMap, i: int) -> MonomialIdeal:
     """HS_i from a linear-quotients set map: all x_F * u with F in set(u).
 
-    Generators are grouped by |set(u)|, the row counts of ``sm.members``;
-    each class adds its one-hot x_F rows to the repeated exponent rows by
-    one fancy-indexed update.
+    Candidates are packed ``_lex_keys`` at the largest exponent plus one,
+    so no field carries: the key of x_F * u is the key of u plus the keys
+    of the x_j, j in F.  Generators are grouped by |set(u)|, the row counts
+    of ``sm.members``; each class adds the summed unit keys of its i-subsets
+    to its row keys by one broadcast.  One sort of the keys drops repeats
+    (one ``np.sort`` when a row fits one key), and only the distinct keys
+    are unpacked.  HS_0 is the ideal of the generators; any exponent past
+    int64 raises OverflowError.
     """
     n = sm.n
     if i < 0:
         return MonomialIdeal.zero(n)
     if i == 0:
         return _ideal_from_rows(n, sm.exps)
-    # Checked before the cast, which would wrap an entry past int64.
-    _check_int64(n, int(sm.exps.max(initial=0)) + 1)
-    gens = sm.exps.astype(np.int64)
+    largest = int(sm.exps.max(initial=0)) + 1
+    _check_int64(n, largest)
+    keys = _lex_keys(sm.exps, largest)
+    units = _lex_keys(np.eye(n, dtype=np.int64), largest)
     sizes = np.count_nonzero(sm.members, axis=1)
     blocks = []
     for c in sorted(set(sizes[sizes >= i].tolist())):
         at = np.flatnonzero(sizes == c)
         # Row-major order lists each row's columns in ascending order.
         sets = np.nonzero(sm.members[at])[1].reshape(-1, c)
-        combos = list(combinations(range(c), i))
-        # Row r * len(combos) + f gets x_F for F the f-th i-subset of set(u_r).
-        picks = sets[:, combos].reshape(-1, i)
-        rows = np.repeat(gens[at], len(combos), axis=0)
-        rows[np.arange(len(rows))[:, None], picks] += 1
-        blocks.append(rows)
+        # picks[r, f]: the columns of the f-th i-subset of set(u_r).
+        picks = sets[:, list(combinations(range(c), i))]
+        blocks.append(
+            [(key[at, None] + unit[picks].sum(axis=2)).ravel() for key, unit in zip(keys, units)]
+        )
     if not blocks:
         return MonomialIdeal.zero(n)
-    return _ideal_from_rows(n, np.concatenate(blocks))
+    candidates = [np.concatenate(parts) for parts in zip(*blocks)]
+    return _ideal_from_keys(n, _distinct_keys(candidates), largest)
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +212,7 @@ def hs_cycle_formula(c: Graph, i: int, s: int) -> MonomialIdeal:
         raise PreconditionError(f"cycle formula needs 1 <= i < n, got i={i}")
     if s < i // 2:
         raise PreconditionError(f"cycle formula needs s >= floor(i/2), got s={s}")
-    terms = []
+    factors = []
     for k in range(max(i - (n - 1) // 2, 0), i // 2 + 1):
         power = comp_power_ideal(c, s - i + k)
         if power.is_zero():
@@ -212,11 +221,16 @@ def hs_cycle_formula(c: Graph, i: int, s: int) -> MonomialIdeal:
         picks = np.array(list(combinations(range(n), i - 2 * k)), dtype=np.intp)
         block = np.full((len(picks), n), i - k, dtype=np.int64)
         block[np.arange(len(picks))[:, None], picks] -= 1
-        terms.append(_product_rows(power.exps, block))
-    if not terms:
+        factors.append((power.exps, block))
+    if not factors:
         return MonomialIdeal.zero(n)
+    # One key width for every term, so the terms' product keys sort together.
+    largest = max(int(a.max(initial=0)) + int(b.max(initial=0)) for a, b in factors)
+    _check_int64(n, largest)
+    terms = [_product_keys(a, b, largest) for a, b in factors]
+    keys = _distinct_keys([np.concatenate(parts) for parts in zip(*terms)])
     # Every term has degree (n-2)s + i, so the rows need no minimalizing.
-    return _ideal_from_rows(n, np.concatenate(terms))
+    return _ideal_from_keys(n, keys, largest)
 
 
 def hs_cycle_top(c: Graph, s: int) -> MonomialIdeal:

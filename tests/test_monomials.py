@@ -13,6 +13,7 @@ from homshift import (
     SetMap,
     comp_power_ideal,
     hs_linear_quotients,
+    set_map_colon,
     VeroneseSpec,
     divide_out,
     has_strong_exchange,
@@ -23,7 +24,8 @@ from homshift import (
 )
 from homshift.corpus import connected_graphs
 from homshift.graphs import invert_permutation
-from homshift.monomials import _bit_rows, _ideal_from_rows, exchange_violation
+from homshift.errors import NotLinearQuotientsError
+from homshift.monomials import _bit_rows, _ideal_from_rows, _minimal_rows, exchange_violation
 
 
 def mono(*exps):
@@ -337,7 +339,7 @@ def test_kernels_refuse_int64_overflow():
     assert big.is_contained_in(unit) and not unit.is_contained_in(big)
     with pytest.raises(OverflowError):
         ideal(1, (2**63,)).is_contained_in(MonomialIdeal.unit(1))
-    # Building a set map checks nothing; only HS_i refuses a sum past int64.
+    # Building a set map checks nothing; HS_i refuses a sum past int64.
     one = np.ones((1, 1), dtype=bool)
     near = SetMap(np.array([[top - 1]], dtype=np.uint64), one)
     assert exps_of(hs_linear_quotients(near, 1)) == [(top,)]
@@ -345,6 +347,10 @@ def test_kernels_refuse_int64_overflow():
         past = SetMap(np.array([[row]], dtype=np.uint64), one)
         with pytest.raises(OverflowError):
             hs_linear_quotients(past, 1)
+    # HS_0 is the ideal of the generators: it builds where from_exponents does, and refuses past int64.
+    assert exps_of(hs_linear_quotients(SetMap(np.array([[top]], dtype=np.uint64), one), 0)) == [(top,)]
+    with pytest.raises(OverflowError):
+        hs_linear_quotients(SetMap(np.array([[2**63]], dtype=np.uint64), one), 0)
 
 
 def test_minimalization_sums_degrees_past_int64_exactly():
@@ -529,3 +535,125 @@ def test_bit_rows_exact_on_both_sides_of_int64():
         got = _bit_rows(bits)
         assert got == want and all(type(x) is int for x in got)
     assert _bit_rows(np.zeros((0, 5), dtype=bool)) == []
+
+
+# ---------------------------------------------------------------------------
+# the packing boundary: a row in one int64 key (n * b <= 63) or in several
+# ---------------------------------------------------------------------------
+
+BOUNDARY_PROPERTY = settings(
+    derandomize=True, max_examples=150, deadline=timedelta(seconds=5), database=None
+)
+
+
+@st.composite
+def boundary_cases(draw):
+    """n <= 25, two row lists of mixed degree whose largest entry is 7, 8, 15 or 16, set(u) picks and i.
+
+    An entry up to 7, 8, 15 or 16 takes b = 3, 4, 4 or 5 bits, and one more
+    bit in HS at 7 and 15, so a row fits one key for n up to 21, 15 or 12
+    and needs several beyond.  Either list may be empty.
+    """
+    n = draw(st.integers(0, 25))
+    top = draw(st.sampled_from((7, 8, 15, 16)))
+    # Many 0s and 1s, so that rows repeat and divide one another.
+    entry = st.one_of(st.integers(0, 1), st.integers(0, top))
+
+    def rows():
+        drawn = draw(st.lists(st.tuples(*[entry] * n), max_size=7))
+        if drawn and n:
+            first = list(drawn[0])
+            first[draw(st.integers(0, n - 1))] = top
+            drawn[0] = tuple(first)
+        return drawn + draw(st.lists(st.sampled_from(drawn), max_size=2)) if drawn else drawn
+
+    rows_a, rows_b = rows(), rows()
+    picks = st.sets(st.integers(0, n - 1), max_size=4) if n else st.just(set())
+    members = [draw(picks) for _ in rows_a]
+    return n, rows_a, rows_b, members, draw(st.integers(0, 4))
+
+
+@BOUNDARY_PROPERTY
+@given(boundary_cases())
+def test_kernels_match_definitions_across_the_packing_boundary(case):
+    n, rows_a, rows_b, members, i = case
+    for dtype in (np.uint8, np.int64):
+        got = _minimal_rows(np.array(rows_a, dtype=dtype).reshape(len(rows_a), n))
+        assert list(map(tuple, got.tolist())) == brute_minimal(rows_a)
+    I, J = MonomialIdeal.from_exponents(n, rows_a), MonomialIdeal.from_exponents(n, rows_b)
+    assert exps_of(I * J) == brute_minimal([plus(u, v) for u in rows_a for v in rows_b])
+    exps = np.array(rows_a, dtype=np.uint8).reshape(len(rows_a), n)
+    in_set = np.zeros(exps.shape, dtype=bool)
+    for r, su in enumerate(members):
+        in_set[r, sorted(su)] = True
+    candidates = [
+        tuple(e + (j in F) for j, e in enumerate(u))
+        for u, su in zip(rows_a, members)
+        for F in combinations(sorted(su), i)
+    ]
+    assert exps_of(hs_linear_quotients(SetMap(exps, in_set), i)) == brute_minimal(candidates)
+
+
+def brute_sets(rows):
+    """set(u_i) from the colons (u_1, ..., u_{i-1}) : u_i, or the first i whose colon needs more than variables."""
+    sets = []
+    for i, u in enumerate(rows):
+        colon = [tuple(max(a - b, 0) for a, b in zip(v, u)) for v in rows[:i]]
+        su = {c.index(1) for c in colon if sum(c) == 1}
+        if not all(any(c[j] for j in su) for c in colon):
+            return i
+        sets.append({j + 1 for j in su})
+    return sets
+
+
+@st.composite
+def boundary_orders(draw):
+    """Distinct rows base + e_j + e_k over pairs {j, k} in a set S of columns, in descending lex order.
+
+    All pairs give base * (x_j : j in S)^2, which has linear quotients;
+    some pairs may not.  n <= 25 and entries up to 7, 8, 15 or 16 put the
+    colon sweep's drop keys, with the pair indices, on both sides of 63 bits.
+    """
+    n = draw(st.integers(1, 25))
+    top = draw(st.sampled_from((7, 8, 15, 16)))
+    base = list(draw(st.tuples(*[st.integers(0, top - 2)] * n)))
+    base[draw(st.integers(0, n - 1))] = top - 2
+    S = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=5)))
+    pairs = list(combinations(S, 2)) + [(j, j) for j in S]
+    chosen = draw(st.one_of(st.just(pairs), st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
+    rows = []
+    for j, k in chosen:
+        row = base.copy()
+        row[j] += 1
+        row[k] += 1
+        rows.append(tuple(row))
+    return sorted(rows, reverse=True)
+
+
+@BOUNDARY_PROPERTY
+@given(boundary_orders())
+def test_set_map_colon_matches_definition_across_the_packing_boundary(rows):
+    want = brute_sets(rows)
+    if isinstance(want, int):
+        with pytest.raises(NotLinearQuotientsError) as err:
+            set_map_colon([Monomial(r) for r in rows])
+        assert err.value.index == want
+    else:
+        sm = set_map_colon([Monomial(r) for r in rows])
+        assert list(map(tuple, sm.exps.tolist())) == rows and list(sm.sets) == want
+
+
+def test_one_key_holds_a_row_exactly_up_to_63_bits():
+    # Largest entry 7: 3 bits per entry, so 21 variables fill 63 bits and 22 need two keys;
+    # HS_1 adds 1, so its keys take 4 bits per entry and split past 15 variables.
+    for n in (15, 16, 21, 22):
+        rows = [tuple((r + j) % 8 for j in range(n)) for r in range(8)]
+        matrix = np.array(rows, dtype=np.uint8)
+        assert len(homshift.monomials._lex_keys(matrix, 7)) == (1 if 3 * n <= 63 else 2)
+        assert len(homshift.monomials._lex_keys(matrix, 8)) == (1 if 4 * n <= 63 else 2)
+        assert list(map(tuple, _minimal_rows(matrix).tolist())) == brute_minimal(rows)
+        I = MonomialIdeal.from_exponents(n, rows)
+        assert exps_of(I * I) == brute_minimal([plus(u, v) for u in rows for v in rows])
+        sm = SetMap(matrix, np.ones(matrix.shape, dtype=bool))
+        candidates = [tuple(e + (j == k) for j, e in enumerate(u)) for u in rows for k in range(n)]
+        assert exps_of(hs_linear_quotients(sm, 1)) == brute_minimal(candidates)
