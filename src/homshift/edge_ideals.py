@@ -24,16 +24,14 @@ I^s read as it is.  Set maps come from one sort of the drops u / x_k of
 all generators, keyed by the bit-packed ``_lex_keys`` of u minus those
 of x_k: u_t / x_j = u / x_k exactly when u_t = (u / x_k) * x_j, so each
 run of equal keys pairs every generator with the earlier ones that put
-a variable into its set.  Where a row fits one int64 key with the bits
-of a pair index to spare, that sort is one ``np.sort`` of
-drop * 2^k + pair; otherwise one ``np.lexsort`` of the keys.  Row
-bitsets then confirm that every colon is generated by those variables:
-per variable j and exponent e, one Python int marks the generators
-exceeding e in x_j, built once per set map with ``np.packbits``, so each
-generator's check is a few integer ORs.  A set map holds two read-only
-arrays, the exponent matrix and the bool matrix whose row r marks the
-variables of set(u_r); HS_i and pd read them, and its Monomials and
-frozensets are built only when a caller reads ``gens`` or ``sets``.
+a variable into its set.  Row bitsets then confirm that every colon is
+generated by those variables: per variable j and exponent e, one Python
+int marks the generators exceeding e in x_j, built once per set map
+with ``np.packbits``, so each generator's check is a few integer ORs.
+A set map holds two read-only arrays, the exponent matrix and the bool
+matrix whose row r marks the variables of set(u_r); HS_i and pd read
+them, and its Monomials and frozensets are built only when a caller
+reads ``gens`` or ``sets``.
 """
 
 from __future__ import annotations
@@ -66,7 +64,6 @@ from .monomials import (
     _exponent_matrix,
     _frozen_rows,
     _ideal_from_rows,
-    _key_bits,
     _lex_keys,
     _row_degrees,
 )
@@ -247,12 +244,10 @@ def set_map_colon(ordered: Iterable[Monomial]) -> SetMap:
     have the same drop u / x_k = u_t / x_j.  One sort finds every such
     pair: each drop is keyed by the packed ``_lex_keys`` of its row minus
     those of the unit row x_k (the keys are linear in the row, so no drop
-    row is built), and the (drop, row) pairs are sorted by key, then by row:
-    by one ``np.sort`` of drop * 2^k + pair, the pairs numbered in row-major
-    order, where a drop is one key with k bits to spare, and by
-    ``np.lexsort`` otherwise.  A run of equal keys holds at most n pairs,
-    one per k, with rows ascending; each later row of a run gets the k of
-    every earlier pair in its set.  One vectorized step per offset within the runs does this,
+    row is built), and the (drop, row) pairs are sorted by key, then by row.
+    A run of equal keys holds at most n pairs, one per k, with rows
+    ascending; each later row of a run gets the k of every earlier pair in
+    its set.  One vectorized step per offset within the runs does this,
     exact at any n and exponent size.  The set map keeps the generators'
     exponent matrix and the bool matrix of their sets.
 
@@ -297,22 +292,13 @@ def _set_map_rows(exps: np.ndarray) -> np.ndarray:
     row, col = np.nonzero(exps)
     units = _lex_keys(np.eye(n, dtype=np.int64), largest)
     drops = [key[row] - unit[col] for key, unit in zip(keys, units)]
-    # Where a drop and the index of its pair fit one int64, one np.sort of
-    # drop * 2^k + pair orders the pairs by drop, then by row, as the lexsort does.
-    # same[p]: sorted pairs p and p + 1 have the same drop, so they lie in one run.
-    index_bits = max(len(row) - 1, 0).bit_length()
-    if n * _key_bits(largest) + index_bits <= 63:
-        packed = np.sort((drops[0] << index_bits) | np.arange(len(row)))
-        order = packed & ((1 << index_bits) - 1)
-        drop = packed >> index_bits
-        same = drop[1:] == drop[:-1]
-    else:
-        order = np.lexsort([row, *drops])
-        same = np.ones(max(len(row) - 1, 0), dtype=bool)
-        for drop in drops:
-            drop = drop[order]
-            same &= drop[1:] == drop[:-1]
+    order = np.lexsort([row, *drops])
     row, col = row[order], col[order]
+    # same[p]: sorted pairs p and p + 1 have the same drop, so they lie in one run.
+    same = np.ones(max(len(row) - 1, 0), dtype=bool)
+    for drop in drops:
+        drop = drop[order]
+        same &= drop[1:] == drop[:-1]
     # link[p]: sorted pairs p and p + d lie in one run, so x_col[p] is in set(u_row[p + d]).
     link, d = same, 1
     while link.any():
