@@ -12,38 +12,37 @@ sparse integer elimination over the rationals, on the nonzeros of each
 boundary map only.
 
 Both the lattice and the complexes are read from the ideal's exponent
-matrix G (``MonomialIdeal.exps``), one row per generator.  The lattice is closed round
-by round: the rows first found in the last round are joined with every
-row of G by one ``np.maximum``, and a key per row (its digits packed into
-one int64 where that is exact, else its bytes) drops the joins already
-seen.  For a lattice element a, the rows u of G with u <= a are
-the generators dividing x^a, and each gives the facet {p : u_p < a_p}
-(supp(a) minus the variables where u reaches a).  ``betti_table`` makes
-these two comparisons for a block of lattice rows at once and packs each
-facet into a Python-int bitmask (bit p for x_{p+1}, exact for any number
-of variables).  K^a is the ``SimplicialComplex`` on its set of facet
-masks, and the homology of each distinct set is computed once per table:
-faces are the submasks of the facets, and each boundary map is ranked
-once, as one sparse row {F ^ bit: +-1} per face F.
+matrix G (``MonomialIdeal.exps``), one row per generator.  The lattice is
+closed round by round: the rows first found in the last round are joined
+with every row of G by one ``np.maximum``, and one stable sort of the
+lattice followed by the joins on their ``_lex_keys`` (``_first_rows``)
+drops the joins already seen.  For a lattice element a, the rows u of G
+with u <= a are the generators dividing x^a, and each gives the facet
+{p : u_p < a_p} (supp(a) minus the variables where u reaches a).
+``betti_table`` makes these two comparisons for a block of lattice rows
+at once and packs each facet into a Python-int bitmask (bit p for
+x_{p+1}, exact for any number of variables).  K^a is the
+``SimplicialComplex`` on its set of facet masks, and the homology of
+each distinct set is computed once per table: faces are the submasks of
+the facets, and each boundary map is ranked once, as one sparse row
+{F ^ bit: +-1} per face F.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable
 
 import numpy as np
 
 from .errors import OracleCapError
 from .monomials import (
-    _INT64_MAX,
     _JOIN_BLOCK,
     Monomial,
     MonomialIdeal,
     _bit_rows,
     _exponent_matrix,
-    _row_keys,
+    _first_rows,
 )
 
 DEFAULT_GEN_CAP = 60
@@ -169,23 +168,6 @@ def upper_koszul(ideal: MonomialIdeal, a: Monomial) -> SimplicialComplex:
     return SimplicialComplex(_facet_masks(ideal.exps, _exponent_matrix([a], ideal.n))[0])
 
 
-def _join_keys(gens: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """A key function for joins of rows of ``gens``: equal keys exactly for equal rows.
-
-    No join passes the largest entry of ``gens``, so where (largest entry
-    + 1) ** n fits in int64, a row's digits in that base make one int64
-    key, which sorts far faster than the row's bytes (``_row_keys``, the
-    fallback).  A uint64 matrix also falls back: numpy would multiply it
-    by int64 digits in floating point.
-    """
-    n = gens.shape[1]
-    base = int(gens.max(initial=0)) + 1
-    if base**n > _INT64_MAX or gens.dtype == np.uint64:
-        return _row_keys
-    digits = np.array([base**p for p in range(n)], dtype=np.int64)
-    return lambda rows: rows @ digits
-
-
 def lcm_lattice(
     ideal: MonomialIdeal,
     gen_cap: int = DEFAULT_GEN_CAP,
@@ -197,39 +179,34 @@ def lcm_lattice(
     lattice of more than ``size_cap`` elements.  Each frontier (the
     elements first found in the previous round) is joined with every
     generator by one ``np.maximum``, in blocks of at most ``_JOIN_BLOCK``
-    entries so that memory stays bounded; row keys drop the joins
-    already seen.
+    entries so that memory stays bounded.  ``_first_rows`` of the lattice
+    followed by a block's joins keeps the first of each distinct row; the
+    sort is stable, so a join already in the lattice is never first, and
+    the firsts past the lattice are the new elements.
     """
     if ideal.num_gens() > gen_cap:
         raise OracleCapError(
             f"{ideal.num_gens()} generators exceed the oracle cap of {gen_cap}"
         )
-    if ideal.n == 0:
-        # (0) or (1): its own lattice, and rows without bytes have no key.
-        return list(ideal.gens)
     gens = ideal.exps
-    key = _join_keys(gens)
-    found, seen, frontier = [gens], key(gens), gens
+    # No join passes the largest generator entry.
+    largest = int(gens.max(initial=0))
+    lattice = frontier = gens
     step = max(1, _JOIN_BLOCK // max(gens.size, 1))
     while len(frontier):
-        fresh = []
+        known = len(lattice)
         for start in range(0, len(frontier), step):
             block = frontier[start : start + step]
-            joins = np.maximum(block[:, None, :], gens[None, :, :]).reshape(-1, ideal.n)
-            keys, first = np.unique(key(joins), return_index=True)
-            # Minimal generators are distinct and only new keys join `seen`.
-            new = ~np.isin(keys, seen, assume_unique=True)
-            seen = np.concatenate((seen, keys[new]))
-            fresh.append(joins[first[new]])
-            if len(seen) > size_cap:
+            joins = np.maximum(block[:, None, :], gens[None, :, :])
+            rows = np.concatenate((lattice, joins.reshape(len(block) * len(gens), ideal.n)))
+            first = _first_rows(rows, largest)
+            lattice = np.concatenate((lattice, rows[first[first >= len(lattice)]]))
+            if len(lattice) > size_cap:
                 raise OracleCapError(
                     f"lcm lattice exceeds the size cap of {size_cap}"
                 )
-        frontier = np.concatenate(fresh)
-        found.append(frontier)
-    lattice = np.concatenate(found)
-    lattice = lattice[np.lexsort(lattice.T[::-1])]
-    return list(Monomial._wrap_all(lattice))
+        frontier = lattice[known:]
+    return list(Monomial._wrap_all(lattice[_first_rows(lattice, largest)]))
 
 
 @dataclass(frozen=True)

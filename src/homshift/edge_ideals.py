@@ -188,13 +188,18 @@ class SetMap:
 
     ``exps`` is the generators' exponent matrix, one row each in order, and
     ``members`` the bool matrix of the same shape with ``members[r, j]``
-    true when x_{j+1} lies in set(u_r); both are read-only.  ``gens`` and
-    ``sets`` are views built on first read.  Equality and hashing are by
-    identity.
+    true when x_{j+1} lies in set(u_r); both are read-only.  A ``members``
+    that is not a bool array of the shape of ``exps`` raises ValueError.
+    ``gens`` and ``sets`` are views built on first read.  Equality and
+    hashing are by identity.
     """
 
     exps: np.ndarray
     members: np.ndarray
+
+    def __post_init__(self):
+        if getattr(self.members, "dtype", None) != bool or self.members.shape != self.exps.shape:
+            raise ValueError(f"members must be a bool array of shape {self.exps.shape}")
 
     @cached_property
     def gens(self) -> tuple[Monomial, ...]:
@@ -244,12 +249,13 @@ def set_map_colon(ordered: Iterable[Monomial]) -> SetMap:
     have the same drop u / x_k = u_t / x_j.  One sort finds every such
     pair: each drop is keyed by the packed ``_lex_keys`` of its row minus
     those of the unit row x_k (the keys are linear in the row, so no drop
-    row is built), and the (drop, row) pairs are sorted by key, then by row.
-    A run of equal keys holds at most n pairs, one per k, with rows
-    ascending; each later row of a run gets the k of every earlier pair in
-    its set.  One vectorized step per offset within the runs does this,
-    exact at any n and exponent size.  The set map keeps the generators'
-    exponent matrix and the bool matrix of their sets.
+    row is built).  One stable sort of the (drop, row) pairs, listed in
+    row-major order, by key alone leaves each run's rows ascending.  A run
+    of equal keys holds at most n pairs, one per k; each later row of a
+    run gets the k of every earlier pair in its set.  One vectorized step
+    per offset within the runs does this, exact at any n and exponent
+    size.  The set map keeps the generators' exponent matrix and the bool
+    matrix of their sets.
 
     Verifies the linear-quotients property along the way: each colon
     (u_1, ..., u_{i-1}) : (u_i) must be generated by variables, i.e. every
@@ -273,6 +279,8 @@ def _set_map_rows(exps: np.ndarray) -> np.ndarray:
 
     The rows are the generators in their given order, with non-negative
     entries within int64; entry (r, j) is true when x_{j+1} is in set(u_r).
+    The drops are sorted by their keys alone: the pairs come in row-major
+    order and the sort is stable, so each run lists its rows ascending.
     Raises as ``set_map_colon`` does; the NotLinearQuotientsError carries
     the failing row as a Monomial.
     """
@@ -292,7 +300,7 @@ def _set_map_rows(exps: np.ndarray) -> np.ndarray:
     row, col = np.nonzero(exps)
     units = _lex_keys(np.eye(n, dtype=np.int64), largest)
     drops = [key[row] - unit[col] for key, unit in zip(keys, units)]
-    order = np.lexsort([row, *drops])
+    order = np.lexsort(drops[::-1])
     row, col = row[order], col[order]
     # same[p]: sorted pairs p and p + 1 have the same drop, so they lie in one run.
     same = np.ones(max(len(row) - 1, 0), dtype=bool)

@@ -11,20 +11,23 @@ on the ideal alone, so equality compares matrices and the hash reads
 their bytes.
 
 Minimalization, sums, products, scaling, colons and containment run on
-the matrices.  Rows are ordered on bit-packed int64 keys, b = bit length
-of the largest entry bits per entry, most significant column first; a
-row fits one key whenever n * b <= 63, and longer rows take a few keys
-sorted by ``np.lexsort``.  Minimalization sorts the keys and gathers one
-original row per distinct key.  Products add the keys of the two
-factors by broadcasting, one ``np.sort`` drops repeats where one key
-holds a row, and only the distinct keys are unpacked by shift and mask.
-With mixed degrees a blocked broadcast divisibility test drops the rows
-that are not minimal.  A bool or non-integer exponent raises ValueError
-and one past int64 raises OverflowError when the ideal is built; a
-kernel whose sums or degrees could pass int64 raises OverflowError
-instead of wrapping.  A serialized variable count, a Veronese cap or
-degree that is a bool or not an integer raises ValueError; nothing is
-truncated or parsed.
+the matrices.  Rows are ordered on bit-packed int64 keys, ``_lex_keys``:
+b = bit length of the largest entry bits per entry, most significant
+column first; a row fits one key whenever n * b <= 63, and longer rows
+take a few keys.  Rows are sorted and deduplicated by one stable
+``np.lexsort`` of their keys: ``_first_rows`` keeps the first row of
+each run of equal keys, and minimalization gathers those.  Products add
+the keys of the two factors by broadcasting, one ``np.sort`` drops
+repeats where one key holds a row, and only the distinct keys are
+unpacked by shift and mask.  With mixed degrees a blocked broadcast
+divisibility test drops the rows that are not minimal.
+
+One overflow rule holds: an exponent past int64, read in or reached by
+a sum or product, raises OverflowError where ``_key_bits`` sizes the
+keys (``scaled`` builds none and checks itself), and degrees are exact
+at any size.  A bool or non-integer exponent raises ValueError.  A
+serialized variable count, a Veronese cap or degree that is a bool or
+not an integer raises ValueError; nothing is truncated or parsed.
 """
 
 from __future__ import annotations
@@ -207,18 +210,6 @@ def _frozen_rows(rows: np.ndarray, largest: int | None = None) -> np.ndarray:
     return rows
 
 
-def _check_int64(n: int, largest: int) -> None:
-    """Refuse a kernel whose entries may reach ``largest``: n * largest bounds every degree."""
-    if max(n, 1) * largest > _INT64_MAX:
-        raise OverflowError(f"exponents up to {largest} in {n} variables pass the int64 range")
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque key per row (its bytes); two keys are equal exactly when the rows are."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-
-
 def _bit_rows(bits: np.ndarray) -> list[int]:
     """Each row of a boolean matrix as a Python int with bit p for column p, exact at any width.
 
@@ -232,7 +223,13 @@ def _bit_rows(bits: np.ndarray) -> list[int]:
 
 
 def _key_bits(largest: int) -> int:
-    """Bits per entry in a sort key of entries up to ``largest``: its bit length, at least 1."""
+    """Bits per entry in a sort key of entries up to ``largest``: its bit length, at least 1.
+
+    An entry past int64 raises OverflowError, so every kernel that keys
+    rows refuses one where it builds its keys.
+    """
+    if largest > _INT64_MAX:
+        raise OverflowError(f"exponent {largest} passes the int64 range")
     return max(1, largest.bit_length())
 
 
@@ -266,10 +263,10 @@ def _lex_keys(rows: np.ndarray, largest: int) -> list[np.ndarray]:
     within ``largest`` are the sums of their keys, and ``_unpack`` reads
     rows back from keys by shift and mask.
     """
+    layout = _key_layout(rows.shape[1], _key_bits(largest))
     if rows.dtype == np.uint64:
         # Against int64 weights numpy would promote uint64 to float64.
         rows = rows.astype(np.int64)
-    layout = _key_layout(rows.shape[1], _key_bits(largest))
     return [rows[:, cols] @ weights for cols, weights, _ in layout]
 
 
@@ -291,18 +288,19 @@ def _run_starts(keys: list[np.ndarray]) -> np.ndarray:
     return first
 
 
-def _distinct_rows(rows: np.ndarray, largest: int) -> np.ndarray:
-    """One original row per distinct row of a matrix with entries up to ``largest``, in descending lex order.
+def _first_rows(rows: np.ndarray, largest: int) -> np.ndarray:
+    """The index of the first occurrence of each distinct row, in ascending lex order of the rows.
 
-    A stable ``np.lexsort`` of the ``_lex_keys`` (one key whenever the row
-    fits one) orders the rows, and the first row of each run of equal keys
-    is gathered, so no row is unpacked.  On the matrices of a few dozen
-    rows that minimalization mostly sees, this measured faster than
+    The entries are at most ``largest``.  A stable ``np.lexsort`` of the
+    ``_lex_keys`` (one key whenever the row fits one) orders the rows,
+    equal rows in their given order, and the first index of each run of
+    equal keys is kept, so no row is unpacked.  On the matrices of a few
+    dozen rows that minimalization mostly sees, this measured faster than
     ``np.argsort``.
     """
     keys = _lex_keys(rows, largest)
     order = np.lexsort(keys[::-1])
-    return rows[order[_run_starts([key[order] for key in keys])][::-1]]
+    return order[_run_starts([key[order] for key in keys])]
 
 
 def _distinct_keys(keys: list[np.ndarray]) -> list[np.ndarray]:
@@ -359,14 +357,12 @@ def _row_degrees(rows: np.ndarray, largest: int) -> np.ndarray:
 def _minimal_rows(rows: np.ndarray) -> np.ndarray:
     """The minimal rows of a non-negative integer exponent matrix, as ``_frozen_rows`` holds them.
 
-    ``_distinct_rows`` keeps one original row per distinct row, in
+    ``_first_rows`` keeps one original row per distinct row, reversed to
     descending lex order, and ``_minimal_distinct`` drops the multiples.
     An entry past int64 raises OverflowError.
     """
     largest = int(rows.max(initial=0))
-    if largest > _INT64_MAX:
-        raise OverflowError(f"exponent {largest} passes the int64 range")
-    return _minimal_distinct(_distinct_rows(rows, largest), largest)
+    return _minimal_distinct(rows[_first_rows(rows, largest)[::-1]], largest)
 
 
 def _minimal_distinct(rows: np.ndarray, largest: int) -> np.ndarray:
@@ -521,9 +517,7 @@ class MonomialIdeal:
             return self
         if self.is_zero():
             return other
-        a, b = self._rows, other._rows
-        _check_int64(self.n, max(int(a.max(initial=0)), int(b.max(initial=0))))
-        return _ideal_from_rows(self.n, np.concatenate((a, b)))
+        return _ideal_from_rows(self.n, np.concatenate((self._rows, other._rows)))
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """All pairwise products of generators, summed as packed ``_lex_keys`` and unpacked once distinct."""
@@ -533,7 +527,6 @@ class MonomialIdeal:
             return MonomialIdeal.zero(self.n)
         a, b = self._rows, other._rows
         largest = int(a.max(initial=0)) + int(b.max(initial=0))
-        _check_int64(self.n, largest)
         return _ideal_from_keys(self.n, _product_keys(a, b, largest), largest)
 
     def scaled(self, m: Monomial) -> "MonomialIdeal":
@@ -543,7 +536,10 @@ class MonomialIdeal:
         if m.n != self.n:
             raise ValueError("ambient variable counts differ")
         rows = self._rows
-        _check_int64(self.n, int(rows.max(initial=0)) + max(m.exps, default=0))
+        # No row is keyed, so no ``_key_bits`` checks the entries.
+        largest = int(rows.max(initial=0)) + max(m.exps, default=0)
+        if largest > _INT64_MAX:
+            raise OverflowError(f"exponent {largest} passes the int64 range")
         moved = rows.astype(np.int64) + np.array(m.exps, dtype=np.int64)
         return MonomialIdeal._wrap(self.n, _frozen_rows(moved))
 

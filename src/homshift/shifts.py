@@ -48,7 +48,6 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     VeroneseSpec,
-    _check_int64,
     _distinct_keys,
     _ideal_from_keys,
     _ideal_from_rows,
@@ -81,7 +80,6 @@ def hs_linear_quotients(sm: SetMap, i: int) -> MonomialIdeal:
     if i == 0:
         return _ideal_from_rows(n, sm.exps)
     largest = int(sm.exps.max(initial=0)) + 1
-    _check_int64(n, largest)
     keys = _lex_keys(sm.exps, largest)
     units = _lex_keys(np.eye(n, dtype=np.int64), largest)
     sizes = np.count_nonzero(sm.members, axis=1)
@@ -226,7 +224,6 @@ def hs_cycle_formula(c: Graph, i: int, s: int) -> MonomialIdeal:
         return MonomialIdeal.zero(n)
     # One key width for every term, so the terms' product keys sort together.
     largest = max(int(a.max(initial=0)) + int(b.max(initial=0)) for a, b in factors)
-    _check_int64(n, largest)
     terms = [_product_keys(a, b, largest) for a, b in factors]
     keys = _distinct_keys([np.concatenate(parts) for parts in zip(*terms)])
     # Every term has degree (n-2)s + i, so the rows need no minimalizing.

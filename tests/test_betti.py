@@ -220,12 +220,19 @@ def test_betti_table_cache_respects_caps():
 
 
 def test_lcm_lattice_keys_past_the_packed_range():
-    # Joins are keyed by their digits packed into one int64 only where that
-    # is exact; uint64 rows and rows past that range are keyed by their bytes.
+    # Joins are sorted by their _lex_keys, b = bit_length(largest entry) bits
+    # per entry and 63 // b entries per int64 key: one key for 2^40 (a uint64
+    # matrix), two for 63-bit entries in two variables, three for 70
+    # variables at 2 bits; and 0/1 rows take one key up to 63 variables and
+    # two at 64.
+    rows63 = [tuple(int(p % q == 0) for p in range(63)) for q in (2, 3, 5, 7)]
+    rows64 = [tuple(int(p % q == 1) for p in range(64)) for q in (2, 3, 5, 7, 11)]
     for I in (
         ideal(1, (2**40,)),
         ideal(2, (2**62, 0), (0, 2**62 + 1), (1, 1)),
         ideal(70, (1,) * 69 + (0,), (0,) + (1,) * 69, (2,) + (0,) * 69),
+        ideal(63, *rows63),
+        ideal(64, *rows64),
     ):
         gens = [g.exps for g in I.gens]
         joins = {

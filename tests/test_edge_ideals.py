@@ -294,6 +294,18 @@ def test_set_map_keeps_its_exponent_matrix():
     assert empty.gens == () and empty.sets == () and empty.n == 0
 
 
+def test_set_map_refuses_members_of_another_shape_or_dtype():
+    exps = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.uint8)
+    for members in (
+        np.array([[False, True], [True, False]]),  # 2 x 2 for three variables
+        np.array([[0, 5, 0], [1, 0, 0]]),  # ints, not bools
+        [[False, True, False], [True, False, False]],  # not an array
+    ):
+        with pytest.raises(ValueError):
+            SetMap(exps, members)
+    assert SetMap(exps, np.zeros(exps.shape, dtype=bool)).n == 3
+
+
 def test_comp_power_ideal_rows_in_own_labels():
     # A scrambled 8-cycle: power_generators lists its rows in the lex order of other labels.
     g = Graph(8, [(1, 2), (1, 8), (2, 3), (3, 4), (4, 5), (5, 7), (6, 7), (6, 8)])

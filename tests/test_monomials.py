@@ -331,9 +331,13 @@ def test_kernels_refuse_int64_overflow():
         half * half  # 2^63 does not fit
     with pytest.raises(OverflowError):
         ideal(1, (2**63,)) + ideal(1, (1,))
-    # Each exponent fits, but the degree 2^63 would not.
+    # Each exponent fits, but the degree does not: degrees are summed exactly.
+    assert ideal(2, (2**62, 2**62)) + ideal(2, (1, 0)) == ideal(2, (1, 0))
+    quarter = ideal(2, (2**61, 2**61))
+    assert exps_of(quarter * quarter) == [(2**62, 2**62)]
+    assert exps_of(quarter.scaled(Monomial((2**62, 2**61)))) == [(3 * 2**61, 2**62)]
     with pytest.raises(OverflowError):
-        ideal(2, (2**62, 2**62)) + ideal(2, (1, 0))
+        half.scaled(Monomial((2**62,)))  # 2^63 does not fit
     # Degree 2^64 would wrap to 0 in uint64; containment reads the entries alone.
     big, unit = ideal(3, (top, top, 2)), MonomialIdeal.unit(3)
     assert big.is_contained_in(unit) and not unit.is_contained_in(big)
