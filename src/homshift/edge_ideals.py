@@ -5,7 +5,7 @@ x1*...*xn / (xj*xk) over the edges {j, k}.  Every generator of its s-th
 power is (x1*...*xn)^s divided by a product of s edges.  The generators
 of a power are held as one read-only exponent matrix beside the kept edge
 multisets; a Factorization, the monomial paired with one such edge list,
-is built only when a caller reads one.  When the vertex labels make every
+is built on each read and not kept.  When the vertex labels make every
 suffix {i+1, ..., n} induce a connected subgraph, all powers have linear
 quotients in descending lex order, and set(u) collects the variables
 generating each successive colon ideal.  Any connected graph is worked on
@@ -29,16 +29,16 @@ generated by those variables: per variable j and exponent e, one Python
 int marks the generators exceeding e in x_j, built once per set map
 with ``np.packbits``, so each generator's check is a few integer ORs.
 A set map holds two read-only arrays, the exponent matrix and the bool
-matrix whose row r marks the variables of set(u_r); HS_i and pd read
-them, and its Monomials and frozensets are built only when a caller
-reads ``gens`` or ``sets``.
+matrix whose row r marks the variables of set(u_r), and nothing else;
+HS_i and pd read them, and each read of ``gens`` or ``sets`` builds its
+Monomials or frozensets anew.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, combinations_with_replacement
 
 import numpy as np
@@ -186,11 +186,11 @@ def power_generators(g: Graph, s: int) -> PowerGenerators:
 class SetMap:
     """Ordered generators of an ideal with linear quotients and their set(u), as two arrays.
 
-    ``exps`` is the generators' exponent matrix, one row each in order, and
-    ``members`` the bool matrix of the same shape with ``members[r, j]``
-    true when x_{j+1} lies in set(u_r); both are read-only.  A ``members``
-    that is not a bool array of the shape of ``exps`` raises ValueError.
-    ``gens`` and ``sets`` are views built on first read.  Equality and
+    ``exps`` is the generators' exponent matrix, a 2-D non-negative integer
+    array with one row each in order, and ``members`` the bool matrix of its
+    shape with ``members[r, j]`` true when x_{j+1} lies in set(u_r); other
+    arrays raise ValueError.  Both are read-only and all a set map keeps:
+    ``gens`` and ``sets`` are built anew on each read.  Equality and
     hashing are by identity.
     """
 
@@ -198,17 +198,21 @@ class SetMap:
     members: np.ndarray
 
     def __post_init__(self):
-        if getattr(self.members, "dtype", None) != bool or self.members.shape != self.exps.shape:
-            raise ValueError(f"members must be a bool array of shape {self.exps.shape}")
+        exps = self.exps
+        integer = isinstance(exps, np.ndarray) and exps.ndim == 2 and exps.dtype.kind in "iu"
+        if not integer or np.count_nonzero(exps < 0):
+            raise ValueError(f"exps must be a 2-D non-negative integer array, got {exps!r}")
+        if getattr(self.members, "dtype", None) != bool or self.members.shape != exps.shape:
+            raise ValueError(f"members must be a bool array of shape {exps.shape}")
 
-    @cached_property
+    @property
     def gens(self) -> tuple[Monomial, ...]:
-        """The generators as Monomials, built from ``exps`` on first read."""
+        """The generators as Monomials, a new tuple built from ``exps`` on each read."""
         return Monomial._wrap_all(self.exps)
 
-    @cached_property
+    @property
     def sets(self) -> tuple[frozenset[int], ...]:
-        """Each set(u) as a frozenset of 1-based variables, built from ``members`` on first read.
+        """Each set(u) as a frozenset of 1-based variables, built anew from ``members`` on each read.
 
         Generators with the same set(u) share one frozenset.
         """

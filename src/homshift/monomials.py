@@ -6,9 +6,9 @@ generators, one row each in descending lexicographic order with
 x1 > x2 > ... > xn, in the smallest unsigned dtype that holds its largest
 entry.  Every constructor (from Monomials, from exponent rows, or from a
 kernel's matrix) reaches it through one minimalization, ``_minimal_rows``,
-and ``gens`` builds Monomials from it on first read.  The matrix depends
-on the ideal alone, so equality compares matrices and the hash reads
-their bytes.
+and ``gens`` builds Monomials from it on each read; none is kept.  The
+matrix depends on the ideal alone, so equality compares matrices and the
+hash reads their bytes.
 
 Minimalization, sums, products, scaling, colons and containment run on
 the matrices.  Rows are ordered on bit-packed int64 keys, ``_lex_keys``:
@@ -414,24 +414,24 @@ class MonomialIdeal:
     generator 1.  Every constructor minimalizes through ``_minimal_rows``,
     and the matrix ``exps`` of the minimal generators in descending lex
     order is unique to the ideal, so two ideals are equal exactly when
-    their matrices coincide.  ``gens`` caches the generators as Monomials,
-    built from the matrix on first read.
+    their matrices coincide.  The matrix is all an ideal keeps: ``gens``
+    builds the generators as Monomials from it on each read.
     """
 
-    __slots__ = ("n", "_gens", "_rows")
+    __slots__ = ("n", "_rows")
 
     def __init__(self, n: int, gens: Iterable[Monomial] = ()):
         gens = tuple(gens)
         for g in gens:
             if g.n != n:
                 raise ValueError(f"generator {g} has {g.n} variables, expected {n}")
-        self.n, self._gens, self._rows = int(n), None, _minimal_rows(_exponent_matrix(gens, n))
+        self.n, self._rows = int(n), _minimal_rows(_exponent_matrix(gens, n))
 
     @classmethod
     def _wrap(cls, n: int, rows: np.ndarray) -> "MonomialIdeal":
         """The ideal of a ``_frozen_rows`` matrix of minimal rows in descending lex order."""
         ideal = cls.__new__(cls)
-        ideal.n, ideal._gens, ideal._rows = n, None, rows
+        ideal.n, ideal._rows = n, rows
         return ideal
 
     @classmethod
@@ -462,10 +462,8 @@ class MonomialIdeal:
 
     @property
     def gens(self) -> tuple[Monomial, ...]:
-        """The minimal generators in descending lex order, built from ``exps`` on first read."""
-        if self._gens is None:
-            self._gens = Monomial._wrap_all(self._rows)
-        return self._gens
+        """The minimal generators in descending lex order, a new tuple built from ``exps`` on each read."""
+        return Monomial._wrap_all(self._rows)
 
     @property
     def exps(self) -> np.ndarray:

@@ -117,7 +117,7 @@ def hs_power(g: Graph, i: int, s: int) -> MonomialIdeal:
 
 def hs1_via_lcm(ideal: MonomialIdeal) -> MonomialIdeal:
     """HS_1 as the ideal of pairwise lcms of distinct generators."""
-    if len(ideal.gens) < 2:
+    if ideal.num_gens() < 2:
         return MonomialIdeal.zero(ideal.n)
     lcms = (u.lcm(v) for u, v in combinations(ideal.gens, 2))
     return MonomialIdeal(ideal.n, tuple(lcms))

@@ -263,7 +263,7 @@ def test_set_map_colon_rejects_mixed_variable_counts(monkeypatch):
         set_map_colon([Monomial((1, 1)), Monomial((2, 0, 0))])
 
 
-def test_set_map_keeps_its_exponent_matrix():
+def test_set_map_keeps_its_exponent_matrix(monkeypatch):
     g = CycleLabeling(5).graph
     sm = power_set_map(g, 2)
     # The matrix the generators were read from, and set(u) as a bool matrix of the same shape.
@@ -277,11 +277,27 @@ def test_set_map_keeps_its_exponent_matrix():
                 array[0, 0] = 0
     assert colon.exps.dtype == sm.exps.dtype and colon.exps.tolist() == sm.exps.tolist()
     assert colon.members.tolist() == sm.members.tolist()
-    # gens and sets are built on first read, once, and are not constructor arguments.
+    # gens and sets are built anew on each read, never kept, and are not constructor arguments.
+    built = []
+    real_wrap_all, real_bit_rows = Monomial._wrap_all.__func__, homshift.edge_ideals._bit_rows
+
+    def counting_wrap_all(cls, rows):
+        built.append(("gens", len(rows)))
+        return real_wrap_all(cls, rows)
+
+    def counting_bit_rows(bits):
+        built.append(("sets", len(bits)))
+        return real_bit_rows(bits)
+
+    monkeypatch.setattr(Monomial, "_wrap_all", classmethod(counting_wrap_all))
+    monkeypatch.setattr(homshift.edge_ideals, "_bit_rows", counting_bit_rows)
     bare = SetMap(sm.exps, sm.members)
-    assert "gens" not in vars(bare) and "sets" not in vars(bare)
     gens, sets = bare.gens, bare.sets
-    assert bare.gens is gens and bare.sets is sets
+    assert built == [("gens", len(sm.exps)), ("sets", len(sm.exps))]
+    again = bare.gens, bare.sets
+    assert again == (gens, sets) and again[0] is not gens and again[1] is not sets
+    assert built == [("gens", len(sm.exps)), ("sets", len(sm.exps))] * 2
+    assert "gens" not in vars(bare) and "sets" not in vars(bare)
     assert [u.exps for u in gens] == [tuple(row) for row in sm.exps.tolist()]
     assert sets == tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in sm.members)
     assert bare.n == 5 and list(bare.items()) == list(zip(gens, sets))
@@ -304,6 +320,20 @@ def test_set_map_refuses_members_of_another_shape_or_dtype():
         with pytest.raises(ValueError):
             SetMap(exps, members)
     assert SetMap(exps, np.zeros(exps.shape, dtype=bool)).n == 3
+
+
+def test_set_map_refuses_exps_that_are_not_a_non_negative_integer_matrix():
+    members = np.ones((1, 2), dtype=bool)
+    for exps in (
+        np.array([[-1, 2]]),  # a negative entry, once read as 255
+        [[1, 0]],  # not an array
+        np.array([[True, False]]),  # bools, not integers
+        np.array([[1.0, 0.0]]),  # floats
+        np.array([1, 0]),  # one row, not a matrix
+    ):
+        with pytest.raises(ValueError):
+            SetMap(exps, members.reshape(np.shape(exps)))
+    assert SetMap(np.array([[1, 2]]), members).n == 2
 
 
 def test_comp_power_ideal_rows_in_own_labels():

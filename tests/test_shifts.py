@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from datetime import timedelta
 from itertools import combinations
 
@@ -484,7 +486,31 @@ def test_kernel_shift_ideals_build_monomials_only_when_read(monkeypatch):
     closed = hs_cycle_formula(c, 2, 3)
     assert lq == closed and not built
     assert not lq.exps.flags.writeable and lq.exps.dtype == np.uint8
-    # Built on the first read of gens, once, in the matrix's row order.
+    # Built anew on each read of gens, in the matrix's row order; no read is kept.
     gens = lq.gens
-    assert built == [lq.num_gens()] and lq.gens is gens
+    assert built == [lq.num_gens()]
+    again = lq.gens
+    assert again == gens and again is not gens and built == [lq.num_gens()] * 2
     assert [g.exps for g in gens] == [tuple(row) for row in lq.exps.tolist()]
+
+
+def test_cached_shift_ideals_keep_no_monomials():
+    c10 = relabel_graph(CycleLabeling(10).graph, (4, 9, 1, 6, 10, 3, 8, 2, 7, 5))
+    ideals = [hs_power(c10, i, 4) for i in range(pd_of_power(c10, 4) + 1)]
+    assert sum(x.num_gens() for x in ideals) == 5351
+    matrices = sum(x.exps.nbytes for x in ideals)
+    # A full collection empties the tuple free list; one read of the largest ideal refills it.
+    gc.collect()
+    gc.disable()
+    try:
+        max(ideals, key=MonomialIdeal.num_gens).gens
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        for x in ideals:
+            x.gens
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    # A kept read would pin about 168 B per generator (a Monomial and its tuple) beside its row.
+    assert grown < matrices == 53510
