@@ -11,7 +11,6 @@ from .betti import (
     upper_koszul,
 )
 from .edge_ideals import (
-    Factorization,
     SetMap,
     comp_edge_ideal,
     comp_power_ideal,

@@ -16,7 +16,9 @@ matrix G (``MonomialIdeal.exps``), one row per generator.  The lattice is
 closed round by round: the rows first found in the last round are joined
 with every row of G by one ``np.maximum``, and one stable sort of the
 lattice followed by the joins on their ``_lex_keys`` (``_first_rows``)
-drops the joins already seen.  For a lattice element a, the rows u of G
+drops the joins already seen.  The lattice is itself a read-only matrix
+in G's dtype, one row per element, and ``betti_table`` reads its rows
+as they are.  For a lattice element a, the rows u of G
 with u <= a are the generators dividing x^a, and each gives the facet
 {p : u_p < a_p} (supp(a) minus the variables where u reaches a).
 ``betti_table`` makes these two comparisons for a block of lattice rows
@@ -172,8 +174,8 @@ def lcm_lattice(
     ideal: MonomialIdeal,
     gen_cap: int = DEFAULT_GEN_CAP,
     size_cap: int = DEFAULT_LATTICE_CAP,
-) -> list[Monomial]:
-    """All joins of nonempty generator subsets in ascending exponent order.
+) -> np.ndarray:
+    """All joins of nonempty generator subsets, as a read-only matrix in ascending lex order.
 
     Refuses more than ``gen_cap`` generators before any work, and a
     lattice of more than ``size_cap`` elements.  Each frontier (the
@@ -182,7 +184,8 @@ def lcm_lattice(
     entries so that memory stays bounded.  ``_first_rows`` of the lattice
     followed by a block's joins keeps the first of each distinct row; the
     sort is stable, so a join already in the lattice is never first, and
-    the firsts past the lattice are the new elements.
+    the firsts past the lattice are the new elements.  The rows keep the
+    dtype of ``ideal.exps``.
     """
     if ideal.num_gens() > gen_cap:
         raise OracleCapError(
@@ -206,7 +209,9 @@ def lcm_lattice(
                     f"lcm lattice exceeds the size cap of {size_cap}"
                 )
         frontier = lattice[known:]
-    return list(Monomial._wrap_all(lattice[_first_rows(lattice, largest)]))
+    lattice = lattice[_first_rows(lattice, largest)]
+    lattice.flags.writeable = False
+    return lattice
 
 
 @dataclass(frozen=True)
@@ -244,19 +249,18 @@ def betti_table(
     if cached is not None:
         return cached
     entries: dict = {}
-    lattice = lcm_lattice(ideal, gen_cap, size_cap)
-    gens, rows = ideal.exps, _exponent_matrix(lattice, ideal.n)
+    lattice, gens = lcm_lattice(ideal, gen_cap, size_cap), ideal.exps
     # Homology per distinct complex, keyed by its facet masks.
     homology: dict[frozenset[int], dict[int, int]] = {}
     step = max(1, _JOIN_BLOCK // max(gens.size, 1))
     for start in range(0, len(lattice), step):
-        block = lattice[start : start + step]
-        for a, facets in zip(block, _facet_masks(gens, rows[start : start + step])):
+        rows = lattice[start : start + step]
+        for a, facets in zip(rows.tolist(), _facet_masks(gens, rows)):
             ranks = homology.get(facets)
             if ranks is None:
                 ranks = homology[facets] = SimplicialComplex(facets).reduced_homology()
             for d, h in ranks.items():
-                entries[(d + 1, a.exps)] = h
+                entries[(d + 1, tuple(a))] = h
     table = BettiTable(ideal.n, entries)
     _TABLE_CACHE[key] = table
     return table

@@ -287,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="run a verification suite over the built-in corpus")
-    add_common(p, graph=False)
     p.add_argument(
         "--suite",
         default="all",

@@ -3,10 +3,9 @@
 The complementary edge ideal of a graph on [n] is generated by
 x1*...*xn / (xj*xk) over the edges {j, k}.  Every generator of its s-th
 power is (x1*...*xn)^s divided by a product of s edges.  The generators
-of a power are held as one read-only exponent matrix beside the kept edge
-multisets; a Factorization, the monomial paired with one such edge list,
-is built on each read and not kept.  When the vertex labels make every
-suffix {i+1, ..., n} induce a connected subgraph, all powers have linear
+of a power are held in one form, a read-only exponent matrix beside the
+kept edge multisets.  When the vertex labels make every suffix
+{i+1, ..., n} induce a connected subgraph, all powers have linear
 quotients in descending lex order, and set(u) collects the variables
 generating each successive colon ideal.  Any connected graph is worked on
 in its own labels: the variable order is descending lex under the
@@ -36,7 +35,7 @@ Monomials or frozensets anew.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement
@@ -78,17 +77,6 @@ def comp_edge_ideal(g: Graph) -> MonomialIdeal:
     return MonomialIdeal(g.n, tuple(gens))
 
 
-@dataclass(frozen=True, slots=True)
-class Factorization:
-    """A power generator: alpha^s divided by the product of the s edges in ``edges``.
-
-    ``edges`` lists edges of the graph in sorted order, repeats included.
-    """
-
-    monomial: Monomial
-    edges: tuple[Edge, ...]
-
-
 def _check_power_args(g: Graph, s: int) -> None:
     if s < 1:
         raise PreconditionError("power must be at least 1")
@@ -98,14 +86,13 @@ def _check_power_args(g: Graph, s: int) -> None:
         raise PreconditionError("power generators require a connected graph")
 
 
-class PowerGenerators(Sequence):
+class PowerGenerators:
     """The generators of a power, in enumeration order, held as arrays.
 
     ``exps`` is the read-only exponent matrix, one row per generator, in
-    the smallest unsigned dtype that fits.  ``edge_multisets()`` lists each
-    row's edges in sorted order, repeats included, without building a
-    Monomial.  Indexing and iteration build the Factorizations on demand;
-    nothing built is kept.
+    the smallest unsigned dtype that fits, and ``len`` counts its rows.
+    ``edge_multisets()`` lists each row's edges in sorted order, repeats
+    included, without building a Monomial.
     """
 
     __slots__ = ("exps", "_edges", "_multisets")
@@ -116,20 +103,6 @@ class PowerGenerators(Sequence):
 
     def __len__(self) -> int:
         return len(self.exps)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self))[index]))
-        row = self.exps[index].tolist()
-        edges = tuple(map(self._edges.__getitem__, self._multisets[index].tolist()))
-        return Factorization(Monomial(row), edges)
-
-    def __iter__(self) -> Iterator[Factorization]:
-        return map(Factorization, self.monomials(), self.edge_multisets())
-
-    def monomials(self) -> tuple[Monomial, ...]:
-        """The generators as Monomials, built from ``exps`` in one pass."""
-        return Monomial._wrap_all(self.exps)
 
     def edge_multisets(self) -> list[tuple[Edge, ...]]:
         """Each generator's edges in sorted order, repeats included, one tuple per row."""
@@ -145,7 +118,7 @@ def power_generators(g: Graph, s: int) -> PowerGenerators:
     permutation perm of ``lex_labeled_copy(g)``: monomials are listed in
     descending lex order of their images under perm, which is x1 > ... > xn
     for suffix-connected labels.  The result holds the exponent matrix and
-    the kept multisets; its items are the Factorizations, built when read.
+    the kept multisets, one row each.
 
     Each edge multiset M is keyed by an exact integer: vertex v weighs
     (s+1)^(n - perm[v]), an edge weighs the sum of its two ends, and M the
@@ -223,9 +196,6 @@ class SetMap:
     @property
     def n(self) -> int:
         return self.exps.shape[1]
-
-    def items(self):
-        return zip(self.gens, self.sets)
 
 
 def _above_bitsets(rows: np.ndarray) -> list[dict[int, int]]:
@@ -343,7 +313,7 @@ def set_via_even_connected(g: Graph, edges: tuple[Edge, ...]) -> frozenset[int]:
     even-connected to k with respect to the remaining edges.  One walk
     search per (i, j) looks for any end vertex above i at once.
     """
-    _check_multiset(g, edges)
+    edges = _check_multiset(g, edges)
     support = set(edges)
     result = set()
     # No vertex lies above n, so n never qualifies.
@@ -363,7 +333,7 @@ def set_via_even_connected(g: Graph, edges: tuple[Edge, ...]) -> frozenset[int]:
 
 def set_tree(t: LabeledTree, edges: tuple[Edge, ...]) -> frozenset[int]:
     """set(u) for a tree power generator: edge minima, excluding n - 1."""
-    _check_multiset(t.graph, edges)
+    edges = _check_multiset(t.graph, edges)
     mins = {min(e) for e in edges}
     mins.discard(t.n - 1)
     return frozenset(mins)
@@ -376,7 +346,7 @@ def set_cycle(c: CycleLabeling, edges: tuple[Edge, ...]) -> frozenset[int]:
     the support, up to (n - 1) // 2; a count of l gives [2l] on the first
     chain and [2l - 1] on the second.  Edge minima (minus n - 1) give the rest.
     """
-    _check_multiset(c.graph, edges)
+    edges = _check_multiset(c.graph, edges)
     support = set(edges)
     cap = (c.n - 1) // 2
     # Chains grow by prefixes, so the first missing edge ends each count.
@@ -402,7 +372,7 @@ def power_set_map(g: Graph, s: int) -> SetMap:
 
     The order has linear quotients for every connected g, so the sets are
     in g's own labels.  The set map keeps the generators' exponent matrix
-    as its ``exps``; no Factorization and no Monomial is built.
+    as its ``exps``; no Monomial is built.
     """
     exps = power_generators(g, s).exps
     return SetMap(exps, _set_map_rows(exps))

@@ -24,24 +24,25 @@ from itertools import accumulate
 from typing import Callable, Iterable
 
 from .errors import InputFormatError, PreconditionError
+from .monomials import _integer
 
 Edge = tuple[int, int]
 
 
 def _normalize_edge(e) -> Edge:
-    a, b = int(e[0]), int(e[1])
+    a, b = _integer(e[0], "edge endpoint"), _integer(e[1], "edge endpoint")
     if a == b:
         raise ValueError(f"loop edge {e}")
     return (a, b) if a < b else (b, a)
 
 
 class Graph:
-    """Immutable simple undirected graph on vertex set {1, ..., n}."""
+    """Immutable simple undirected graph on {1, ..., n}; n and each endpoint must be integers, not bools."""
 
     __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
-        n = int(n)
+        n = _integer(n, "vertex count")
         if n < 1:
             raise ValueError("vertex count must be positive")
         normalized = sorted({_normalize_edge(e) for e in edges})
@@ -192,7 +193,7 @@ class CycleLabeling:
     __slots__ = ("n", "_graph")
 
     def __init__(self, n: int):
-        n = int(n)
+        n = _integer(n, "cycle length")
         if n < 3:
             raise ValueError("a cycle needs at least 3 vertices")
         edges = [(j, j + 1) for j in range(1, n)] + [(1, n)]
@@ -238,10 +239,12 @@ def tree_distance_labeling(t: Graph, root_leaf: int) -> tuple[LabeledTree, tuple
     return LabeledTree(relabel_graph(t, perm)), perm
 
 
-def _check_multiset(g: Graph, edges: tuple[Edge, ...]) -> None:
+def _check_multiset(g: Graph, edges: tuple[Edge, ...]) -> tuple[Edge, ...]:
+    """The multiset's edges, each written (smaller, larger); a non-edge of g raises ValueError."""
     for e in edges:
         if not g.has_edge(*e):
             raise ValueError(f"edge {e} is not an edge of the host graph")
+    return tuple(map(_normalize_edge, edges))
 
 
 def _even_walk(
@@ -301,8 +304,7 @@ def even_connection_walk(
     for v in (j, k):
         if not 1 <= v <= g.n:
             raise ValueError(f"end vertex {v} outside vertex range [1, {g.n}]")
-    _check_multiset(g, edges)
-    return _even_walk(g, j, lambda v: v == k, edges)
+    return _even_walk(g, j, lambda v: v == k, _check_multiset(g, edges))
 
 
 def even_connected(g: Graph, j: int, k: int, edges: tuple[Edge, ...]) -> bool:
@@ -317,7 +319,7 @@ def caterpillar_from_profile(a: Iterable[int]) -> LabeledTree:
     s_r+2, and every vertex but the last hangs from the first spine vertex
     above it, so exactly a_j vertices (s_{j-1}+1, ..., s_j) hang from s_j+1.
     """
-    profile = tuple(int(x) for x in a)
+    profile = tuple(_integer(x, "profile entry") for x in a)
     if not profile or any(x < 1 for x in profile):
         raise PreconditionError(f"profile must be nonempty with positive entries: {profile}")
     spine = [total + 1 for total in accumulate(profile)]
@@ -388,9 +390,6 @@ def graph_from_dict(data: dict) -> tuple[Graph, str | None]:
         raise InputFormatError(f"bad graph document: {exc}") from exc
     if any(len(e) != 2 for e in edges):
         raise InputFormatError("edges must be pairs of vertices")
-    # int() would read 1.7 as 1 and true or "1" as vertex 1; bool is an int subclass.
-    if any(type(x) is not int for x in (n, *(v for e in edges for v in e))):
-        raise InputFormatError("n and every edge endpoint must be JSON integers")
     try:
         g = Graph(n, edges)
     except ValueError as exc:

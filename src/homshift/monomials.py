@@ -26,8 +26,9 @@ One overflow rule holds: an exponent past int64, read in or reached by
 a sum or product, raises OverflowError where ``_key_bits`` sizes the
 keys (``scaled`` builds none and checks itself), and degrees are exact
 at any size.  A bool or non-integer exponent raises ValueError.  A
-serialized variable count, a Veronese cap or degree that is a bool or
-not an integer raises ValueError; nothing is truncated or parsed.
+serialized variable count, a Veronese cap or degree or a renaming target
+that is a bool or not an integer raises ValueError; nothing is truncated
+or parsed.
 """
 
 from __future__ import annotations
@@ -590,12 +591,13 @@ def squarefree_power_of_maximal(n: int, i: int) -> MonomialIdeal:
 def rename_variables(ideal: MonomialIdeal, targets: Sequence[int], n: int) -> MonomialIdeal:
     """The image of the ideal under x_v -> x_{targets[v-1]}, in n variables.
 
-    targets must send [ideal.n] injectively into [n]: a permutation
-    relabels, an increasing list of positions embeds into a larger ring.
+    targets must be integers sending [ideal.n] injectively into [n]
+    (ValueError otherwise): a permutation relabels, an increasing list of
+    positions embeds into a larger ring.
     The identity returns the ideal itself.  Column v of the exponent matrix
     moves to column targets[v-1], and the rows are sorted again.
     """
-    targets = tuple(targets)
+    targets = tuple(_integer(t, "target") for t in targets)
     if len(targets) != ideal.n or len(set(targets) & set(range(1, n + 1))) != ideal.n:
         raise ValueError(f"targets {targets} do not map [{ideal.n}] injectively into [{n}]")
     if n == ideal.n and targets == tuple(range(1, n + 1)):

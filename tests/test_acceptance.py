@@ -100,7 +100,7 @@ def mapping_cone_betti(sm) -> dict:
     pairs (u, F) with F in set(u), |F| = i and x_F * u = x^a.
     """
     counts = Counter()
-    for u, su in sm.items():
+    for u, su in zip(sm.gens, sm.sets):
         for i in range(len(su) + 1):
             for face in combinations(su, i):
                 a = list(u.exps)

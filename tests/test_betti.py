@@ -2,6 +2,7 @@ from datetime import timedelta
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -158,7 +159,12 @@ def test_pd_oracle_examples():
 
 def test_lcm_lattice():
     I = ideal(3, (1, 1, 0), (0, 1, 1), (1, 0, 1))
-    lattice = {m.exps for m in lcm_lattice(I)}
+    matrix = lcm_lattice(I)
+    # The lattice is one read-only exponent matrix, a row per element.
+    assert isinstance(matrix, np.ndarray) and not matrix.flags.writeable
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 0
+    lattice = {tuple(row) for row in matrix.tolist()}
     assert lattice == {(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)}
     with pytest.raises(OracleCapError):
         lcm_lattice(I, gen_cap=2)
@@ -240,16 +246,16 @@ def test_lcm_lattice_keys_past_the_packed_range():
             for k in range(1, len(gens) + 1)
             for subset in combinations(gens, k)
         }
-        assert [m.exps for m in lcm_lattice(I)] == sorted(joins)
+        assert [tuple(row) for row in lcm_lattice(I).tolist()] == sorted(joins)
 
 
 def test_lcm_lattice_trivial_ideals():
     for n in range(4):
         zero = MonomialIdeal.zero(n)
-        assert lcm_lattice(zero) == []
+        assert lcm_lattice(zero).tolist() == []
         assert betti_table(zero).entries == {}
         unit = MonomialIdeal.unit(n)
-        assert lcm_lattice(unit) == [Monomial.one(n)]
+        assert lcm_lattice(unit).tolist() == [list(Monomial.one(n).exps)]
         assert betti_table(unit).entries == {(0, (0,) * n): 1}
 
 
@@ -268,14 +274,14 @@ def test_lcm_lattice_caps_are_exact():
 
 def test_lcm_lattice_independent_of_join_blocks(monkeypatch):
     ideals = [comp_power_ideal(g, 2) for g in connected_graphs(5)]
-    lattices = [lcm_lattice(I) for I in ideals]
+    lattices = [lcm_lattice(I).tolist() for I in ideals]
     monkeypatch.setattr(homshift.betti, "_TABLE_CACHE", {})
     tables = [betti_table(I).entries for I in ideals]
     # One frontier row per block: every round spans many blocks, and
     # betti_table reads one lattice row per block.
     monkeypatch.setattr(homshift.betti, "_JOIN_BLOCK", 1)
     monkeypatch.setattr(homshift.betti, "_TABLE_CACHE", {})
-    assert [lcm_lattice(I) for I in ideals] == lattices
+    assert [lcm_lattice(I).tolist() for I in ideals] == lattices
     assert [betti_table(I).entries for I in ideals] == tables
     for I, lattice in zip(ideals, lattices):
         assert len(lcm_lattice(I, size_cap=len(lattice))) == len(lattice)
@@ -293,7 +299,7 @@ def test_betti_table_returns_cached_object(monkeypatch):
 
 def test_betti_table_ranks_each_distinct_complex_once(monkeypatch):
     I = comp_power_ideal(CycleLabeling(5).graph, 2)
-    complexes = [upper_koszul(I, a).facets for a in lcm_lattice(I)]
+    complexes = [upper_koszul(I, Monomial(row)).facets for row in lcm_lattice(I).tolist()]
     assert len(complexes) > len(set(complexes))  # some complexes repeat
     seen = []
     faces_by_dim = SimplicialComplex.faces_by_dim
@@ -357,13 +363,13 @@ def test_lcm_lattice_matches_subset_lcms(I):
         for k in range(1, len(gens) + 1)
         for subset in combinations(gens, k)
     }
-    assert [m.exps for m in lcm_lattice(I)] == sorted(joins)
+    assert [tuple(row) for row in lcm_lattice(I).tolist()] == sorted(joins)
 
 
 @ORACLE_PROPERTY
 @given(small_ideals(), st.lists(st.integers(0, 300), min_size=5, max_size=5))
 def test_upper_koszul_matches_definition(I, extra):
-    for a in lcm_lattice(I) + [Monomial(extra[: I.n])]:
+    for a in [Monomial(row) for row in lcm_lattice(I).tolist()] + [Monomial(extra[: I.n])]:
         support = a.support()
         want = {
             mask(*face)
@@ -428,7 +434,7 @@ def test_reduced_homology_ranks_each_boundary_map_once_on_every_face(monkeypatch
 
     monkeypatch.setattr(homshift.betti, "integer_rank", counting)
     I = comp_power_ideal(CycleLabeling(5).graph, 2)
-    complexes = {upper_koszul(I, a) for a in lcm_lattice(I)}
+    complexes = {upper_koszul(I, Monomial(row)) for row in lcm_lattice(I).tolist()}
     complexes |= {complex_on(*combinations((1, 2, 3, 4), 3)), complex_on({2, 5}, {1, 3, 4, 7})}
     for c in complexes:
         calls.clear()

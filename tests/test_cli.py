@@ -293,6 +293,13 @@ def test_verify_no_oracle_reports_skips(capsys):
     assert records and all(r.get("skipped") and r["verdict"] is None for r in records)
 
 
+def test_verify_refuses_format(capsys):
+    # verify prints JSON lines whatever is asked, so it takes no --format.
+    with pytest.raises(SystemExit) as exit:
+        build_parser().parse_args(["verify", "--format", "text"])
+    assert exit.value.code == 2 and "unrecognized arguments: --format" in capsys.readouterr().err
+
+
 def test_verify_unknown_suite(capsys):
     code, _, _ = run(capsys, "verify", "--suite", "bogus")
     assert code == 2

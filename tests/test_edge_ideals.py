@@ -69,16 +69,16 @@ def test_power_generators_tree_counts():
     for n in range(2, 7):
         g = path(n)
         for s in range(1, 4):
-            facts = power_generators(g, s)
-            assert len(facts) == comb(len(g.edges) + s - 1, s)
-            assert len({f.monomial for f in facts}) == len(facts)
+            gens = power_generators(g, s)
+            assert len(gens) == comb(len(g.edges) + s - 1, s)
+            assert len({tuple(row) for row in gens.exps.tolist()}) == len(gens)
 
 
 def test_power_generators_single_edge_per_factor_at_s1():
     g = CycleLabeling(5).graph
-    facts = power_generators(g, 1)
-    assert len(facts) == len(g.edges)
-    assert all(len(f.edges) == 1 for f in facts)
+    gens = power_generators(g, 1)
+    assert len(gens) == len(g.edges)
+    assert all(len(edges) == 1 for edges in gens.edge_multisets())
 
 
 def _edge_product(n, edges):
@@ -94,6 +94,12 @@ def _expressions(g, s):
     return groups
 
 
+def _multiset_of(g, s, u):
+    """The kept edge multiset of the generator u of the s-th power, read from the arrays."""
+    gens = power_generators(g, s)
+    return next(edges for row, edges in zip(gens.exps.tolist(), gens.edge_multisets()) if Monomial(row) == u)
+
+
 def test_power_generators_even_cycle_collision():
     g = CycleLabeling(4).graph
     expressions = _expressions(g, 2)
@@ -105,9 +111,7 @@ def test_power_generators_even_cycle_collision():
     assert mono == Monomial((1, 1, 1, 1))
     assert set(multisets) == {((1, 2), (3, 4)), ((1, 4), (2, 3))}
     # the canonical representative is the lexicographically smallest multiset
-    facts = power_generators(g, 2)
-    kept = next(f for f in facts if f.monomial == mono)
-    assert kept.edges == ((1, 2), (3, 4))
+    assert _multiset_of(g, 2, mono) == ((1, 2), (3, 4))
 
 
 def test_power_generators_match_generic_ideal_power():
@@ -120,11 +124,13 @@ def test_power_generators_match_generic_ideal_power():
 def test_factorization_invariants():
     g = CycleLabeling(4).graph
     for s in (1, 2, 3):
-        for f in power_generators(g, s):
-            assert f.monomial.degree() == (g.n - 2) * s
-            assert len(f.edges) == s and list(f.edges) == sorted(f.edges)
-            assert all(e in g.edges for e in f.edges)
-            assert f.monomial == Monomial.uniform(g.n, s) / _edge_product(g.n, f.edges)
+        gens = power_generators(g, s)
+        for row, edges in zip(gens.exps.tolist(), gens.edge_multisets()):
+            u = Monomial(row)
+            assert u.degree() == (g.n - 2) * s
+            assert len(edges) == s and list(edges) == sorted(edges)
+            assert all(e in g.edges for e in edges)
+            assert u == Monomial.uniform(g.n, s) / _edge_product(g.n, edges)
 
 
 @st.composite
@@ -168,8 +174,9 @@ def _first_multisets_in_lex_order(g, s):
 @settings(derandomize=True, max_examples=120, deadline=timedelta(seconds=5), database=None)
 @given(named_connected_graphs(), st.integers(1, 3))
 def test_power_generators_match_tuple_keyed_enumeration(g, s):
-    facts = power_generators(g, s)
-    assert [(f.monomial.exps, f.edges) for f in facts] == _first_multisets_in_lex_order(g, s)
+    gens = power_generators(g, s)
+    rows = [tuple(row) for row in gens.exps.tolist()]
+    assert list(zip(rows, gens.edge_multisets())) == _first_multisets_in_lex_order(g, s)
 
 
 @settings(derandomize=True, max_examples=80, deadline=timedelta(seconds=5), database=None)
@@ -185,39 +192,35 @@ def test_power_matrix_matches_factorizations(g, s):
     assert list(zip(rows, multisets)) == _first_multisets_in_lex_order(g, s)
     for row, edges in zip(rows, multisets):
         assert row == tuple(s - sum(v in e for e in edges) for v in g.vertices())
-    facts = list(gens)
-    assert len(gens) == len(facts) == len(rows)
-    assert rows == [f.monomial.exps for f in facts]
-    assert multisets == [f.edges for f in facts]
-    assert gens[-1] == facts[-1] and gens[:2] == tuple(facts[:2])
+    assert len(gens) == len(rows)
 
 
 def test_power_keys_past_int64():
     # Keys of P45 at s = 2 reach 3^44 in both the enumeration and the colon sweep.
     g, s = path(45), 2
     assert 3**44 > 2**63
-    facts = power_generators(g, s)
-    exps = [f.monomial.exps for f in facts]
+    gens = power_generators(g, s)
+    exps = [tuple(row) for row in gens.exps.tolist()]
     # On a tree every edge multiset gives its own monomial.
-    assert len(facts) == comb(len(g.edges) + s - 1, s)
+    assert len(gens) == comb(len(g.edges) + s - 1, s)
     assert exps == sorted(set(exps), reverse=True)
     t, perm = tree_distance_labeling(g, g.n)
     assert t.graph == g and perm == tuple(g.vertices())
     sm = power_set_map(g, s)
     assert [u.exps for u in sm.gens] == exps
-    for f, su in zip(facts, sm.sets):
-        assert su == set_tree(t, f.edges) == set_via_even_connected(g, f.edges)
+    for edges, su in zip(gens.edge_multisets(), sm.sets):
+        assert su == set_tree(t, edges) == set_via_even_connected(g, edges)
     assert pd_linear_quotients(sm) == pd_formula(g, s) == 2
 
 
 def test_lex_order_examples():
     # power_generators lists monomials in descending lex order; for these
     # suffix-connected labels the variable order is x1 > ... > xn.
-    exps = [f.monomial.exps for f in power_generators(path(4), 1)]
-    assert exps == [(1, 1, 0, 0), (1, 0, 0, 1), (0, 0, 1, 1)]
+    exps = power_generators(path(4), 1).exps.tolist()
+    assert exps == [[1, 1, 0, 0], [1, 0, 0, 1], [0, 0, 1, 1]]
     c4 = CycleLabeling(4).graph
-    exps = [f.monomial.exps for f in power_generators(c4, 1)]
-    assert exps == [(1, 1, 0, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1)]
+    exps = power_generators(c4, 1).exps.tolist()
+    assert exps == [[1, 1, 0, 0], [1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]]
     assert len(power_generators(Graph(2, [(1, 2)]), 1)) == 1
 
 
@@ -300,7 +303,7 @@ def test_set_map_keeps_its_exponent_matrix(monkeypatch):
     assert "gens" not in vars(bare) and "sets" not in vars(bare)
     assert [u.exps for u in gens] == [tuple(row) for row in sm.exps.tolist()]
     assert sets == tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in sm.members)
-    assert bare.n == 5 and list(bare.items()) == list(zip(gens, sets))
+    assert bare.n == 5 and list(zip(bare.gens, bare.sets)) == list(zip(gens, sets))
     # Equality and hashing are by identity.
     twin = SetMap(sm.exps, sm.members)
     assert bare == bare and bare != twin and len({bare, twin}) == 2
@@ -463,7 +466,7 @@ def test_set_map_matches_generic_colon():
         for g in connected_graphs(n):
             for s in (1, 2):
                 sm = power_set_map(g, s)
-                for i, (u, su) in enumerate(sm.items()):
+                for i, (u, su) in enumerate(zip(sm.gens, sm.sets)):
                     variables = [Monomial.variable(n, v) for v in su]
                     colon = MonomialIdeal(n, sm.gens[:i]).colon(u)
                     assert colon == MonomialIdeal(n, variables)
@@ -471,13 +474,13 @@ def test_set_map_matches_generic_colon():
 
 def test_set_via_even_connected_examples():
     c4 = CycleLabeling(4).graph
-    f = next(f for f in power_generators(c4, 1) if f.monomial == Monomial((0, 0, 1, 1)))
-    assert set_via_even_connected(c4, f.edges) == {1, 2}
+    edges = _multiset_of(c4, 1, Monomial((0, 0, 1, 1)))
+    assert set_via_even_connected(c4, edges) == {1, 2}
     p4 = path(4)
-    f = next(f for f in power_generators(p4, 1) if f.monomial == Monomial((1, 1, 0, 0)))
-    assert set_via_even_connected(p4, f.edges) == frozenset()
-    f = next(f for f in power_generators(p4, 1) if f.monomial == Monomial((1, 0, 0, 1)))
-    assert set_via_even_connected(p4, f.edges) == {2}
+    edges = _multiset_of(p4, 1, Monomial((1, 1, 0, 0)))
+    assert set_via_even_connected(p4, edges) == frozenset()
+    edges = _multiset_of(p4, 1, Monomial((1, 0, 0, 1)))
+    assert set_via_even_connected(p4, edges) == {2}
 
 
 def test_set_tree_examples():
@@ -493,6 +496,19 @@ def test_set_cycle_examples():
     assert set_cycle(c4, ((1, 4),)) == {1}
     c5 = CycleLabeling(5)
     assert set_cycle(c5, ((1, 2), (3, 4))) == {1, 2, 3, 4}
+
+
+def test_set_routes_agree_on_either_spelling_of_an_edge():
+    # set_cycle once compared (b, a) with the chain edges, always written (a, b) with a < b.
+    c7 = CycleLabeling(7)
+    t, _ = tree_distance_labeling(path(4), 4)
+    for edges in (((1, 2), (3, 4)), ((2, 1), (4, 3)), ((2, 1), (3, 4)), ((7, 1), (2, 3))):
+        forward = tuple(tuple(sorted(e)) for e in edges)
+        assert set_cycle(c7, edges) == set_cycle(c7, forward) == set_via_even_connected(c7.graph, edges)
+    assert set_cycle(c7, ((2, 1), (4, 3))) == {1, 2, 3, 4}
+    for edges in (((2, 1), (3, 2)), ((4, 3), (1, 2))):
+        forward = tuple(tuple(sorted(e)) for e in edges)
+        assert set_tree(t, edges) == set_tree(t, forward) == set_via_even_connected(t.graph, edges)
 
 
 def test_closed_set_maps_refuse_edges_outside_the_graph():
@@ -559,14 +575,14 @@ def test_set_routes_agree_on_small_corpus():
         for t in distance_labeled_trees(n):
             for s in (1, 2):
                 sm = power_set_map(t.graph, s)
-                for f, su in zip(power_generators(t.graph, s), sm.sets):
-                    assert su == set_tree(t, f.edges) == set_via_even_connected(t.graph, f.edges)
+                for edges, su in zip(power_generators(t.graph, s).edge_multisets(), sm.sets):
+                    assert su == set_tree(t, edges) == set_via_even_connected(t.graph, edges)
     for n in range(3, 6):
         c = CycleLabeling(n)
         for s in (1, 2):
             sm = power_set_map(c.graph, s)
-            for f, su in zip(power_generators(c.graph, s), sm.sets):
-                assert su == set_cycle(c, f.edges) == set_via_even_connected(c.graph, f.edges)
+            for edges, su in zip(power_generators(c.graph, s).edge_multisets(), sm.sets):
+                assert su == set_cycle(c, edges) == set_via_even_connected(c.graph, edges)
 
 
 def test_even_connected_route_on_general_connected_graphs():
@@ -575,8 +591,8 @@ def test_even_connected_route_on_general_connected_graphs():
         for g in connected_graphs(n):
             for s in (1, 2):
                 sm = power_set_map(g, s)
-                for f, su in zip(power_generators(g, s), sm.sets):
-                    assert set_via_even_connected(g, f.edges) == su
+                for edges, su in zip(power_generators(g, s).edge_multisets(), sm.sets):
+                    assert set_via_even_connected(g, edges) == su
 
 
 def test_pd_linear_quotients_examples():

@@ -7,6 +7,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from networkx import from_prufer_sequence
 from networkx.generators.atlas import graph_atlas_g
@@ -15,6 +16,7 @@ from homshift import (
     CycleLabeling,
     Graph,
     LabeledTree,
+    MonomialIdeal,
     PreconditionError,
     caterpillar_from_profile,
     even_connected,
@@ -25,6 +27,7 @@ from homshift import (
     is_connected,
     is_tree,
     lex_labeled_copy,
+    rename_variables,
     spanning_paths_of_cycle,
     spanning_tree,
     tree_distance_labeling,
@@ -432,6 +435,32 @@ def test_graph_json_round_trip_and_kinds():
         graph_from_dict({"edges": []})
     with pytest.raises(InputFormatError):
         graph_from_dict({"n": 2, "edges": [[1, 2, 3]]})
+
+
+def test_graph_inputs_must_be_integers():
+    # A float, a bool or a string is refused, never truncated or read as a vertex.
+    for call in (
+        lambda: Graph(3.9, [(1, 2), (2, 3)]),
+        lambda: Graph(3, [(1.5, 2), (2, 3)]),
+        lambda: Graph(3, [(True, 3), (2, 3)]),
+        lambda: Graph(True, []),
+        lambda: CycleLabeling(4.7),
+        lambda: CycleLabeling("5"),
+        lambda: caterpillar_from_profile([1.9, 2]),
+        lambda: caterpillar_from_profile([True, 2]),
+        lambda: rename_variables(MonomialIdeal.unit(2), [1.0, 2.0], 3),
+        lambda: rename_variables(MonomialIdeal.unit(2), [True, 2], 2),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+    from homshift import InputFormatError
+
+    for doc in ({"n": 3.0, "edges": [[1, 2]]}, {"n": 3, "edges": [[1, 2.0]]}, {"n": 3, "edges": [[False, 2]]}):
+        with pytest.raises(InputFormatError, match="must be an integer"):
+            graph_from_dict(doc)
+    # numpy integers are integers.
+    assert Graph(np.int64(3), [(np.int8(1), np.uint16(2))]) == Graph(3, [(1, 2)])
+    assert CycleLabeling(np.int32(4)) == CycleLabeling(4)
 
 
 # ---------------------------------------------------------------------------

@@ -302,7 +302,7 @@ def test_hs_linear_quotients_matches_definition(case):
     sm, i = case
     candidates = [
         tuple(e + (v + 1 in F) for v, e in enumerate(u.exps))
-        for u, su in sm.items()
+        for u, su in zip(sm.gens, sm.sets)
         for F in combinations(sorted(su), i)
     ] if i >= 0 else []
     assert exps_of(hs_linear_quotients(sm, i)) == brute_minimal(candidates)

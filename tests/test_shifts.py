@@ -8,10 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import homshift.edge_ideals
 from homshift import (
     CycleLabeling,
-    Factorization,
     Graph,
     Monomial,
     MonomialIdeal,
@@ -365,28 +363,6 @@ def test_power_enumerated_once_in_input_labels():
     hs_power(c6, 1, 2)
     comp_power_ideal(c6, 2)
     assert power_generators.cache_info().misses == 1
-
-
-def test_power_route_builds_no_factorization(monkeypatch):
-    built = []
-
-    def counting(*args):
-        built.append(args)
-        return Factorization(*args)
-
-    monkeypatch.setattr(homshift.edge_ideals, "Factorization", counting)
-    c8 = relabel_graph(CycleLabeling(8).graph, (5, 2, 8, 3, 7, 1, 6, 4))
-    assert not validate_lex_labeling(c8)
-    for cached in (power_generators, power_set_map, hs_power):
-        cached.cache_clear()
-    pd = pd_of_power(c8, 3)
-    assert pd == 6
-    for i in range(pd + 2):
-        hs_power(c8, i, 3)
-    comp_power_ideal(c8, 3)
-    assert built == []
-    # Reading the generators as Factorizations is what builds them.
-    assert len(list(power_generators(c8, 3))) == len(built) > 0
 
 
 def test_power_route_builds_no_set_map_views(monkeypatch):
