@@ -310,24 +310,22 @@ def set_via_even_connected(g: Graph, edges: tuple[Edge, ...]) -> frozenset[int]:
 
     For u = alpha^s / (product of ``edges``), a vertex i qualifies when some
     edge {i, j} of the list admits a k > i with {j, k} an edge of g or j
-    even-connected to k with respect to the remaining edges.  One walk
-    search per (i, j) looks for any end vertex above i at once.
+    even-connected to k with respect to the remaining edges.  One pass over
+    the distinct edges tests both ends of each, and one walk search per
+    (i, j) looks for any end vertex above i at once.
     """
     edges = _check_multiset(g, edges)
-    support = set(edges)
     result = set()
-    # No vertex lies above n, so n never qualifies.
-    for i in sorted({v for e in support for v in e} - {g.n}):
-        for e in support:
-            if i not in e:
+    for p, e in enumerate(edges):
+        if p and e == edges[p - 1]:
+            continue
+        rest = edges[:p] + edges[p + 1 :]
+        for i, j in (e, e[::-1]):
+            # No vertex lies above n, so n never qualifies; neighbors are sorted.
+            if i in result or i == g.n:
                 continue
-            j = e[0] if e[1] == i else e[1]
-            at = edges.index(e)
-            rest = edges[:at] + edges[at + 1 :]
-            # Neighbors are sorted, so the last one is the largest.
             if g.neighbors(j)[-1] > i or _even_walk(g, j, lambda v: v > i, rest) is not None:
                 result.add(i)
-                break
     return frozenset(result)
 
 

@@ -19,7 +19,7 @@ in colon ideals of edge-ideal powers.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import deque
 from itertools import accumulate
 from typing import Callable, Iterable
 
@@ -240,11 +240,11 @@ def tree_distance_labeling(t: Graph, root_leaf: int) -> tuple[LabeledTree, tuple
 
 
 def _check_multiset(g: Graph, edges: tuple[Edge, ...]) -> tuple[Edge, ...]:
-    """The multiset's edges, each written (smaller, larger); a non-edge of g raises ValueError."""
+    """The multiset as the sorted tuple of its edges, each (smaller, larger); a non-edge of g raises ValueError."""
     for e in edges:
         if not g.has_edge(*e):
             raise ValueError(f"edge {e} is not an edge of the host graph")
-    return tuple(map(_normalize_edge, edges))
+    return tuple(sorted(map(_normalize_edge, edges)))
 
 
 def _even_walk(
@@ -253,38 +253,32 @@ def _even_walk(
     """The first walk in search order even-connecting j to a vertex v with is_end(v), or None.
 
     The one depth-first search behind ``even_connection_walk`` and
-    ``edge_ideals.set_via_even_connected``.  A state is the current vertex,
-    the unused multiplicities and whether a multiset edge was used; a
-    state that failed once fails again, since ``is_end`` is fixed.
+    ``edge_ideals.set_via_even_connected``, on a multiset as ``_check_multiset``
+    returns it.  A state is the current vertex and the sorted tuple of unused
+    edges; a state that failed once fails again, since ``is_end`` is fixed.
+    An end is tested only after a multiset edge, so every walk uses one.
     """
-    if not edges:
-        return None
     failed: set[tuple] = set()
 
-    def search(v: int, counts: tuple, used: bool) -> list[int] | None:
+    def search(v: int, remaining: tuple[Edge, ...]) -> list[int] | None:
         # ``v`` sits just after a free edge; next step must come from the multiset.
-        if used and is_end(v):
-            return [v]
-        key = (v, counts, used)
-        if key in failed:
+        if (v, remaining) in failed:
             return None
-        for idx, (edge, c) in enumerate(counts):
-            if c == 0 or v not in edge:
+        # Each distinct edge once, in sorted order; slicing drops one copy.
+        for p, edge in enumerate(remaining):
+            if v not in edge or p and edge == remaining[p - 1]:
                 continue
             w = edge[0] if edge[1] == v else edge[1]
-            nxt = tuple(
-                (e, cc - 1) if i == idx else (e, cc) for i, (e, cc) in enumerate(counts)
-            )
+            rest = remaining[:p] + remaining[p + 1 :]
             for x in g.neighbors(w):
-                tail = search(x, nxt, True)
+                tail = [x] if is_end(x) else search(x, rest)
                 if tail is not None:
                     return [v, w] + tail
-        failed.add(key)
+        failed.add((v, remaining))
         return None
 
-    counts0 = tuple(sorted(Counter(edges).items()))
     for w in g.neighbors(j):
-        tail = search(w, counts0, False)
+        tail = search(w, edges)
         if tail is not None:
             return [j] + tail
     return None

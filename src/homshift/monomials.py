@@ -422,11 +422,11 @@ class MonomialIdeal:
     __slots__ = ("n", "_rows")
 
     def __init__(self, n: int, gens: Iterable[Monomial] = ()):
-        gens = tuple(gens)
+        n, gens = _integer(n, "n"), tuple(gens)
         for g in gens:
             if g.n != n:
                 raise ValueError(f"generator {g} has {g.n} variables, expected {n}")
-        self.n, self._rows = int(n), _minimal_rows(_exponent_matrix(gens, n))
+        self.n, self._rows = n, _minimal_rows(_exponent_matrix(gens, n))
 
     @classmethod
     def _wrap(cls, n: int, rows: np.ndarray) -> "MonomialIdeal":
@@ -447,13 +447,15 @@ class MonomialIdeal:
     def from_exponents(cls, n: int, rows: Iterable[Iterable[int]]) -> "MonomialIdeal":
         """The ideal of exponent rows of length n, read into one matrix without building Monomials.
 
-        A row of another length, a negative exponent or a non-integer one
-        raises ValueError; an exponent past int64 raises OverflowError.
+        A variable count that is not an integer, a row of another length, a
+        negative exponent or a bool or non-integer one raises ValueError; an
+        exponent past int64 raises OverflowError.
         """
-        rows = list(map(tuple, rows))
+        n, rows = _integer(n, "n"), list(map(tuple, rows))
         matrix = np.array(rows) if rows else np.zeros((0, n), dtype=np.int64)
-        if matrix.dtype.kind != "i":
-            # Past int64, not integers, or no columns to infer a dtype from: check each entry.
+        types = set(map(type, chain.from_iterable(rows)))
+        if matrix.dtype.kind != "i" or bool in types or np.bool_ in types:
+            # Past int64, not integers, a bool (np.array reads it as 0 or 1) or no columns: check each entry.
             matrix = np.array(list(map(_integer_exponents, rows)), dtype=np.int64)
         if matrix.shape != (len(rows), n):
             raise ValueError(f"exponent rows of length {n} expected, got shape {matrix.shape}")
@@ -563,8 +565,7 @@ class MonomialIdeal:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MonomialIdeal":
-        # Each row is checked on its own: np.array would read JSON true beside an int as 1.
-        return cls.from_exponents(_integer(data["n"], "n"), map(_integer_exponents, data["gens"]))
+        return cls.from_exponents(data["n"], data["gens"])
 
     def __repr__(self) -> str:
         return f"MonomialIdeal(n={self.n}, gens={[str(g) for g in self.gens]})"
@@ -577,11 +578,12 @@ class MonomialIdeal:
 
 def maximal_ideal(n: int) -> MonomialIdeal:
     """The graded maximal ideal (x1, ..., xn)."""
-    return MonomialIdeal(n, tuple(Monomial.variable(n, i) for i in range(1, n + 1)))
+    return squarefree_power_of_maximal(n, 1)
 
 
 def squarefree_power_of_maximal(n: int, i: int) -> MonomialIdeal:
     """The ideal generated by all squarefree monomials x_F with |F| = i."""
+    n = _integer(n, "n")
     if i < 0 or i > n:
         raise ValueError(f"squarefree power index {i} outside [0, {n}]")
     gens = (Monomial.from_support(n, F) for F in combinations(range(1, n + 1), i))
@@ -597,7 +599,7 @@ def rename_variables(ideal: MonomialIdeal, targets: Sequence[int], n: int) -> Mo
     The identity returns the ideal itself.  Column v of the exponent matrix
     moves to column targets[v-1], and the rows are sorted again.
     """
-    targets = tuple(_integer(t, "target") for t in targets)
+    n, targets = _integer(n, "n"), tuple(_integer(t, "target") for t in targets)
     if len(targets) != ideal.n or len(set(targets) & set(range(1, n + 1))) != ideal.n:
         raise ValueError(f"targets {targets} do not map [{ideal.n}] injectively into [{n}]")
     if n == ideal.n and targets == tuple(range(1, n + 1)):

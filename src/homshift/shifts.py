@@ -143,51 +143,44 @@ def hs1_power_identity_check(g: Graph, s: int) -> bool:
     return lhs == rhs
 
 
-def _tree_parents(t: Graph, i: int) -> dict[int, int]:
-    """phi(k) for every non-root vertex k of a tree, once the block index is checked.
+def _tree_parents(t: Graph, i: int) -> list[int]:
+    """The columns phi(k) - 1 over the non-root vertices k in ascending order, once the index is checked.
 
     The root is the largest leaf r; the non-root vertices are all but r
     and its neighbor, and phi(k) is the neighbor of k one step closer to
-    r.  The index must lie in [0, n - 2].
+    r.  On an admissibly labeled tree they are [n-2] and phi is the parent
+    map.  The index must lie in [0, n - 2].
     """
-    if not is_tree(t):
-        raise PreconditionError("the tree formulas require a tree")
     n = t.n
+    dist = _distances_from(t, max((v for v in t.vertices() if t.degree(v) == 1), default=1))
+    # n - 1 edges reaching all n vertices from one root: a tree.
+    if len(t.edges) != n - 1 or len(dist) != n:
+        raise PreconditionError("the tree formulas require a tree")
     if i < 0 or i > n - 2:
         raise PreconditionError(f"index {i} outside [0, {n - 2}]")
-    dist = _distances_from(t, max(v for v in t.vertices() if t.degree(v) == 1))
-    # Each child of a vertex other than r: every vertex two or more steps from r.
-    return {k: v for v in dist if dist[v] for k in t.neighbors(v) if dist[k] > dist[v]}
+    return [next(v for v in t.neighbors(k) if dist[v] < dist[k]) - 1 for k in t.vertices() if dist[k] > 1]
 
 
-def _parent_counts(parent: dict[int, int], n: int, i: int) -> list[list[int]]:
-    """Exponents of prod_{k in F} x_phi(k) over the i-subsets F of phi's domain."""
-    rows = []
-    for F in combinations(sorted(parent), i):
-        exps = [0] * n
-        for k in F:
-            exps[parent[k] - 1] += 1
-        rows.append(exps)
-    return rows
+def _subset_sums(columns: Iterable[int], n: int, size: int) -> np.ndarray:
+    """One int64 row sum_{p in F} e_{columns[p]} of length n per size-subset F of positions.
 
-
-def _j_block(parent: dict[int, int], n: int, i: int) -> MonomialIdeal:
-    rows = _parent_counts(parent, n, i)
-    return MonomialIdeal.from_exponents(n, ([i - e for e in row] for row in rows))
-
-
-def _k_block(parent: dict[int, int], n: int, i: int) -> MonomialIdeal:
-    return MonomialIdeal.from_exponents(n, _parent_counts(parent, n, i))
+    Rows come in ``combinations`` order, and repeated columns add up.  K_i,
+    J_i and the cycle blocks alpha^{i-k} / x_F are all read from it.
+    """
+    picks = list(combinations(columns, size))
+    cols = np.array(picks, dtype=np.intp).reshape(len(picks), size)
+    flat = (np.arange(len(picks))[:, None] * n + cols).ravel()
+    return np.bincount(flat, minlength=len(picks) * n).reshape(len(picks), n)
 
 
 def j_ideal(t: Graph, i: int) -> MonomialIdeal:
     """The ideal of alpha^i / prod_{k in F} x_phi(k) over i-subsets F of the non-root vertices."""
-    return _j_block(_tree_parents(t, i), t.n, i)
+    return _ideal_from_rows(t.n, i - _subset_sums(_tree_parents(t, i), t.n, i))
 
 
 def k_ideal(t: Graph, i: int) -> MonomialIdeal:
     """The ideal of prod_{k in F} x_phi(k) over i-subsets F of the non-root vertices; K_0 = S."""
-    return _k_block(_tree_parents(t, i), t.n, i)
+    return _ideal_from_rows(t.n, _subset_sums(_tree_parents(t, i), t.n, i))
 
 
 def hs_tree_formula(t: Graph, i: int, s: int) -> MonomialIdeal:
@@ -216,10 +209,7 @@ def hs_cycle_formula(c: Graph, i: int, s: int) -> MonomialIdeal:
         if power.is_zero():
             continue
         # alpha^{i-k} / x_F for every (i-2k)-subset F of the vertices.
-        picks = np.array(list(combinations(range(n), i - 2 * k)), dtype=np.intp)
-        block = np.full((len(picks), n), i - k, dtype=np.int64)
-        block[np.arange(len(picks))[:, None], picks] -= 1
-        factors.append((power.exps, block))
+        factors.append((power.exps, i - k - _subset_sums(range(n), n, i - 2 * k)))
     if not factors:
         return MonomialIdeal.zero(n)
     # One key width for every term, so the terms' product keys sort together.
@@ -286,20 +276,19 @@ def veronese_structure_check(t: LabeledTree, i: int) -> bool:
 def _veronese_structure(t: LabeledTree, i: int) -> tuple[bool, MonomialIdeal, MonomialIdeal]:
     """The verdict of ``veronese_structure_check`` and the blocks J_i, K_i it checked.
 
-    All three blocks come from one parent map of the tree: phi on [n-2],
-    read from ``t.parent`` without its last entry phi(n-1) = n.
+    All three blocks are subset sums over one parent map phi on [n-2], read
+    by ``_tree_parents``; b counts the fibers of phi.
     """
     n = t.n
     if not 1 <= i <= n - 2:
         raise PreconditionError(f"index {i} outside [1, {n - 2}]")
-    parent = dict(enumerate(t.parent[:-1], start=1))
-    b = [0] * n
-    for p in parent.values():
-        b[p - 1] += 1
-    j, k = _j_block(parent, n, i), _k_block(parent, n, i)
+    phi = _tree_parents(t.graph, i)
+    b = np.bincount(phi, minlength=n).tolist()
+    sums = _subset_sums(phi, n, i)
+    j, k = _ideal_from_rows(n, i - sums), _ideal_from_rows(n, sums)
     ok_veronese = k == veronese_type(VeroneseSpec(tuple(b), i))
     lhs = j.scaled(Monomial(b))
-    rhs = _k_block(parent, n, n - 2 - i).scaled(Monomial.uniform(n, i))
+    rhs = _ideal_from_rows(n, _subset_sums(phi, n, n - 2 - i)).scaled(Monomial.uniform(n, i))
     ok_cleared = lhs == rhs
     ok_exchange = has_strong_exchange(j)
     return ok_veronese and ok_cleared and ok_exchange, j, k

@@ -1,10 +1,12 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
 import sys
 from collections import Counter, deque
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
 import numpy as np
@@ -308,6 +310,28 @@ def test_even_connected_odd_cycle_closes():
 def test_even_connected_empty_multiset_is_false():
     g = path(4)
     assert not even_connected(g, 1, 4, ())
+
+
+def test_even_connection_walks_keep_one_digest():
+    # Every end pair and every multiset of 1 to 3 edges on C5, P5, K4 and the star
+    # K_{1,4}: the returned walks themselves, not only whether one exists, stay fixed.
+    graphs = [
+        CycleLabeling(5).graph,
+        path(5),
+        Graph(4, combinations(range(1, 5), 2)),
+        Graph(5, [(1, v) for v in range(2, 6)]),
+    ]
+    walks = [
+        even_connection_walk(g, j, k, edges)
+        for g in graphs
+        for size in (1, 2, 3)
+        for edges in combinations_with_replacement(g.edges, size)
+        for j in g.vertices()
+        for k in g.vertices()
+    ]
+    assert (len(walks), sum(w is not None for w in walks)) == (4403, 2508)
+    digest = hashlib.sha256(json.dumps(walks).encode()).hexdigest()
+    assert digest == "7ba435dd9b7016a6b888deeb3b06e719a946d9c650689f60be1fd9762a3728a2"
 
 
 def _brute_even_connected(g, j, k, edges):

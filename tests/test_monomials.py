@@ -438,6 +438,28 @@ def test_exponents_refuse_bools():
     assert MonomialIdeal.from_dict({"n": 2, "gens": [[1, 2], [0, 3]]}) == ideal(2, (1, 2), (0, 3))
 
 
+def test_from_exponents_refuses_a_bool_beside_an_int():
+    # np.array reads true beside an int as 1, and would build (x1*x2^2).
+    for rows in ([(True, 2)], [(1, 0), (0, False)], [(np.True_, 2)]):
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            MonomialIdeal.from_exponents(2, rows)
+    assert MonomialIdeal.from_exponents(2, [(1, 2)]) == ideal(2, (1, 2))
+
+
+def test_variable_count_must_be_an_integer_in_every_constructor():
+    calls = [
+        lambda: MonomialIdeal.from_exponents(2.0, [(1, 0)]),
+        lambda: MonomialIdeal(True, ()),
+        lambda: maximal_ideal(2.0),
+        lambda: rename_variables(maximal_ideal(4), [1, 2, 3, 4], 4.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="n must be an integer"):
+            call()
+    assert type(MonomialIdeal.from_exponents(np.int64(2), [(1, 0)]).n) is int
+    assert maximal_ideal(np.int64(2)) == ideal(2, (1, 0), (0, 1))
+
+
 def test_membership_and_colon_exact_past_int64():
     I = ideal(2, (2, 0), (1, 3))
     assert mono(2, 0) in I and mono(1, 5) in I and mono(3, 1) in I

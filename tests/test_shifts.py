@@ -48,6 +48,7 @@ from homshift import (
 )
 from homshift.corpus import connected_graphs, distance_labeled_trees
 from homshift.graphs import relabel_graph, validate_lex_labeling
+from homshift.shifts import _tree_parents
 
 
 def path(n):
@@ -142,6 +143,15 @@ def test_j_and_k_ideal_examples():
         j_ideal(t, -1)
     with pytest.raises(PreconditionError):
         k_ideal(CycleLabeling(4).graph, 1)
+
+
+def test_tree_parents_read_the_parent_map_of_a_labeled_tree():
+    # On an admissibly labeled tree the non-root vertices are [n-2], and their
+    # columns are phi(1) - 1, ..., phi(n-2) - 1.
+    trees = [t for n in range(3, 8) for t in distance_labeled_trees(n)]
+    assert len(trees) == 64
+    for t in trees:
+        assert _tree_parents(t.graph, 1) == [p - 1 for p in t.parent[:-1]]
 
 
 def test_hs_cycle_formula_examples():
