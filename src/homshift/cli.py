@@ -25,7 +25,6 @@ from .errors import InputFormatError, OracleCapError, PreconditionError
 from .graphs import (
     Graph,
     graph_from_dict,
-    is_connected,
     is_cycle_graph,
     is_tree,
 )
@@ -56,17 +55,9 @@ def _load_graph(path: str) -> Graph:
     return graph
 
 
-def _require_connected(g: Graph) -> None:
-    if not is_connected(g):
-        raise PreconditionError("this command requires a connected graph")
-
-
 def _power_ideal(g: Graph, s: int) -> MonomialIdeal:
-    """I_c(g)^s; only powers above the first need a connected graph."""
-    if s == 1:
-        return comp_edge_ideal(g)
-    _require_connected(g)
-    return comp_power_ideal(g, s)
+    """I_c(g)^s; only powers above the first need a connected graph, and the library checks it."""
+    return comp_edge_ideal(g) if s == 1 else comp_power_ideal(g, s)
 
 
 def _require_power(s: int) -> None:
@@ -97,7 +88,6 @@ def cmd_ideal(args) -> int:
 def cmd_pd(args) -> int:
     _require_power(args.s_max)
     g = _load_graph(args.graph)
-    _require_connected(g)
     closed = is_tree(g) or is_cycle_graph(g)
     rows = []
     mismatch = False
@@ -125,7 +115,6 @@ def cmd_hs(args) -> int:
     if args.i < 0:
         raise PreconditionError("homological index must be at least 0")
     g = _load_graph(args.graph)
-    _require_connected(g)
     ideal = hs_power(g, args.i, args.s)
     _print_ideal(ideal, args.format)
     if args.closed_form:
@@ -143,7 +132,6 @@ def cmd_hs(args) -> int:
 def cmd_setmap(args) -> int:
     _require_power(args.s)
     g = _load_graph(args.graph)
-    _require_connected(g)
     gens = power_generators(g, args.s)
     sm = power_set_map(g, args.s)
     for row, edges, su in zip(gens.exps.tolist(), gens.edge_multisets(), sm.sets):

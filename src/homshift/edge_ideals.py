@@ -83,7 +83,7 @@ def _check_power_args(g: Graph, s: int) -> None:
     if not g.edges:
         raise PreconditionError("power generators need at least one edge")
     if not is_connected(g):
-        raise PreconditionError("power generators require a connected graph")
+        raise PreconditionError("the power enumeration requires a connected graph")
 
 
 class PowerGenerators:

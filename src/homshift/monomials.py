@@ -26,9 +26,10 @@ One overflow rule holds: an exponent past int64, read in or reached by
 a sum or product, raises OverflowError where ``_key_bits`` sizes the
 keys (``scaled`` builds none and checks itself), and degrees are exact
 at any size.  A bool or non-integer exponent raises ValueError.  A
-serialized variable count, a Veronese cap or degree or a renaming target
-that is a bool or not an integer raises ValueError; nothing is truncated
-or parsed.
+serialized variable count, a squarefree power index, a Veronese cap or
+degree or a renaming target that is a bool or not an integer raises
+ValueError; nothing is truncated or parsed.  Every squarefree block x_F
+over i-subsets F is a row of one kernel, ``_subset_sums``.
 """
 
 from __future__ import annotations
@@ -355,6 +356,20 @@ def _row_degrees(rows: np.ndarray, largest: int) -> np.ndarray:
     return np.array([sum(row) for row in rows.tolist()], dtype=object)
 
 
+def _subset_sums(columns: Iterable[int], n: int, size: int) -> np.ndarray:
+    """One int64 row sum_{p in F} e_{columns[p]} of length n per size-subset F of positions.
+
+    Rows come in ``combinations`` order, and repeated columns add up.  Every
+    squarefree block x_F reads it: the HS selector of ``hs_linear_quotients``,
+    m^[i], HS_1, the tree blocks J_i and K_i, the cleared Veronese identity
+    and the cycle blocks alpha^{i-k} / x_F.
+    """
+    picks = list(combinations(columns, size))
+    cols = np.array(picks, dtype=np.intp).reshape(len(picks), size)
+    flat = (np.arange(len(picks))[:, None] * n + cols).ravel()
+    return np.bincount(flat, minlength=len(picks) * n).reshape(len(picks), n)
+
+
 def _minimal_rows(rows: np.ndarray) -> np.ndarray:
     """The minimal rows of a non-negative integer exponent matrix, as ``_frozen_rows`` holds them.
 
@@ -447,11 +462,14 @@ class MonomialIdeal:
     def from_exponents(cls, n: int, rows: Iterable[Iterable[int]]) -> "MonomialIdeal":
         """The ideal of exponent rows of length n, read into one matrix without building Monomials.
 
-        A variable count that is not an integer, a row of another length, a
-        negative exponent or a bool or non-integer one raises ValueError; an
-        exponent past int64 raises OverflowError.
+        A variable count that is not an integer, rows that are not sequences,
+        a row of another length, a negative exponent or a bool or non-integer
+        one raises ValueError; an exponent past int64 raises OverflowError.
         """
-        n, rows = _integer(n, "n"), list(map(tuple, rows))
+        try:
+            n, rows = _integer(n, "n"), list(map(tuple, rows))
+        except TypeError:
+            raise ValueError(f"exponent rows of length {n} expected") from None
         matrix = np.array(rows) if rows else np.zeros((0, n), dtype=np.int64)
         types = set(map(type, chain.from_iterable(rows)))
         if matrix.dtype.kind != "i" or bool in types or np.bool_ in types:
@@ -582,12 +600,11 @@ def maximal_ideal(n: int) -> MonomialIdeal:
 
 
 def squarefree_power_of_maximal(n: int, i: int) -> MonomialIdeal:
-    """The ideal generated by all squarefree monomials x_F with |F| = i."""
-    n = _integer(n, "n")
+    """m^[i], generated by all squarefree monomials x_F with |F| = i: the ``_subset_sums`` of [n]."""
+    n, i = _integer(n, "n"), _integer(i, "squarefree power index")
     if i < 0 or i > n:
         raise ValueError(f"squarefree power index {i} outside [0, {n}]")
-    gens = (Monomial.from_support(n, F) for F in combinations(range(1, n + 1), i))
-    return MonomialIdeal(n, tuple(gens))
+    return _ideal_from_rows(n, _subset_sums(range(n), n, i))
 
 
 def rename_variables(ideal: MonomialIdeal, targets: Sequence[int], n: int) -> MonomialIdeal:

@@ -53,6 +53,7 @@ from .monomials import (
     _ideal_from_rows,
     _lex_keys,
     _product_keys,
+    _subset_sums,
     divide_out,
     has_strong_exchange,
     maximal_ideal,
@@ -67,12 +68,12 @@ def hs_linear_quotients(sm: SetMap, i: int) -> MonomialIdeal:
 
     Candidates are packed ``_lex_keys`` at the largest exponent plus one,
     so no field carries: the key of x_F * u is the key of u plus the keys
-    of the x_j, j in F.  Generators are grouped by |set(u)|, the row counts
-    of ``sm.members``; each class adds the summed unit keys of its i-subsets
-    to its row keys by one broadcast.  One sort of the keys drops repeats
-    (one ``np.sort`` when a row fits one key), and only the distinct keys
-    are unpacked.  HS_0 is the ideal of the generators; any exponent past
-    int64 raises OverflowError.
+    of the x_j, j in F.  Generators are grouped by |set(u)| = c, the row
+    counts of ``sm.members``; each class adds the unit keys of set(u) times
+    the selector ``_subset_sums(range(c), c, i).T`` to its row keys by one
+    broadcast.  One sort of the keys drops repeats (one ``np.sort`` when a
+    row fits one key), and only the distinct keys are unpacked.  HS_0 is
+    the ideal of the generators; any exponent past int64 raises OverflowError.
     """
     n = sm.n
     if i < 0:
@@ -88,11 +89,8 @@ def hs_linear_quotients(sm: SetMap, i: int) -> MonomialIdeal:
         at = np.flatnonzero(sizes == c)
         # Row-major order lists each row's columns in ascending order.
         sets = np.nonzero(sm.members[at])[1].reshape(-1, c)
-        # picks[r, f]: the columns of the f-th i-subset of set(u_r).
-        picks = sets[:, list(combinations(range(c), i))]
-        blocks.append(
-            [(key[at, None] + unit[picks].sum(axis=2)).ravel() for key, unit in zip(keys, units)]
-        )
+        selector = _subset_sums(range(c), c, i).T
+        blocks.append([(key[at, None] + unit[sets] @ selector).ravel() for key, unit in zip(keys, units)])
     if not blocks:
         return MonomialIdeal.zero(n)
     candidates = [np.concatenate(parts) for parts in zip(*blocks)]
@@ -124,14 +122,11 @@ def hs1_via_lcm(ideal: MonomialIdeal) -> MonomialIdeal:
 
 
 def hs1_formula(g: Graph) -> MonomialIdeal:
-    """HS_1 of a complementary edge ideal: alpha / x_i over vertices of degree >= 2."""
+    """HS_1 of a complementary edge ideal: the ``_subset_sums`` rows alpha / x_v, v of degree >= 2."""
     if not is_connected(g):
         raise PreconditionError("the HS_1 formula requires a connected graph")
-    alpha = Monomial.uniform(g.n, 1)
-    gens = [
-        alpha / Monomial.variable(g.n, v) for v in g.vertices() if g.degree(v) >= 2
-    ]
-    return MonomialIdeal(g.n, gens)
+    heavy = [v - 1 for v in g.vertices() if g.degree(v) >= 2]
+    return _ideal_from_rows(g.n, 1 - _subset_sums(heavy, g.n, 1))
 
 
 def hs1_power_identity_check(g: Graph, s: int) -> bool:
@@ -159,18 +154,6 @@ def _tree_parents(t: Graph, i: int) -> list[int]:
     if i < 0 or i > n - 2:
         raise PreconditionError(f"index {i} outside [0, {n - 2}]")
     return [next(v for v in t.neighbors(k) if dist[v] < dist[k]) - 1 for k in t.vertices() if dist[k] > 1]
-
-
-def _subset_sums(columns: Iterable[int], n: int, size: int) -> np.ndarray:
-    """One int64 row sum_{p in F} e_{columns[p]} of length n per size-subset F of positions.
-
-    Rows come in ``combinations`` order, and repeated columns add up.  K_i,
-    J_i and the cycle blocks alpha^{i-k} / x_F are all read from it.
-    """
-    picks = list(combinations(columns, size))
-    cols = np.array(picks, dtype=np.intp).reshape(len(picks), size)
-    flat = (np.arange(len(picks))[:, None] * n + cols).ravel()
-    return np.bincount(flat, minlength=len(picks) * n).reshape(len(picks), n)
 
 
 def j_ideal(t: Graph, i: int) -> MonomialIdeal:
@@ -276,20 +259,19 @@ def veronese_structure_check(t: LabeledTree, i: int) -> bool:
 def _veronese_structure(t: LabeledTree, i: int) -> tuple[bool, MonomialIdeal, MonomialIdeal]:
     """The verdict of ``veronese_structure_check`` and the blocks J_i, K_i it checked.
 
-    All three blocks are subset sums over one parent map phi on [n-2], read
-    by ``_tree_parents``; b counts the fibers of phi.
+    All three blocks are ``_subset_sums`` over one parent map phi on [n-2],
+    read by ``_tree_parents``; b counts the fibers of phi, and the cleared
+    identity compares b + J_i with i + K_{n-2-i} as rows.
     """
     n = t.n
     if not 1 <= i <= n - 2:
         raise PreconditionError(f"index {i} outside [1, {n - 2}]")
     phi = _tree_parents(t.graph, i)
-    b = np.bincount(phi, minlength=n).tolist()
+    b = np.bincount(phi, minlength=n)
     sums = _subset_sums(phi, n, i)
     j, k = _ideal_from_rows(n, i - sums), _ideal_from_rows(n, sums)
-    ok_veronese = k == veronese_type(VeroneseSpec(tuple(b), i))
-    lhs = j.scaled(Monomial(b))
-    rhs = _ideal_from_rows(n, _subset_sums(phi, n, n - 2 - i)).scaled(Monomial.uniform(n, i))
-    ok_cleared = lhs == rhs
+    ok_veronese = k == veronese_type(VeroneseSpec(tuple(b.tolist()), i))
+    ok_cleared = _ideal_from_rows(n, b + j.exps) == _ideal_from_rows(n, i + _subset_sums(phi, n, n - 2 - i))
     ok_exchange = has_strong_exchange(j)
     return ok_veronese and ok_cleared and ok_exchange, j, k
 

@@ -128,6 +128,13 @@ def test_precondition_exit_codes(capsys, tmp_path, p4):
         assert code == 3 and out == "" and "homological index must be at least 0" in err
 
 
+def test_disconnected_graph_is_refused_before_any_output(capsys, tmp_path):
+    disc = write_graph(tmp_path, "disc.json", {"n": 4, "edges": [[1, 2], [3, 4]]})
+    for argv in (("pd",), ("hs", "--i", "1", "--s", "2"), ("setmap", "--s", "2")):
+        code, out, err = run(capsys, *argv, "--graph", disc)
+        assert code == 3 and out == "" and "connected graph" in err
+
+
 def test_pd_command_with_closed_form(capsys, c4):
     code, out, _ = run(capsys, "pd", "--graph", c4, "--s-max", "3", "--format", "json")
     assert code == 0

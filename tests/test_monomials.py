@@ -25,7 +25,7 @@ from homshift import (
 from homshift.corpus import connected_graphs
 from homshift.graphs import invert_permutation
 from homshift.errors import NotLinearQuotientsError
-from homshift.monomials import _bit_rows, _ideal_from_rows, _minimal_rows, exchange_violation
+from homshift.monomials import _bit_rows, _ideal_from_rows, _minimal_rows, _subset_sums, exchange_violation
 
 
 def mono(*exps):
@@ -121,6 +121,32 @@ def test_squarefree_power_of_maximal():
     assert squarefree_power_of_maximal(3, 0) == MonomialIdeal.unit(3)
     with pytest.raises(ValueError):
         squarefree_power_of_maximal(3, 4)
+
+
+def test_squarefree_power_of_maximal_refuses_a_non_integer_index():
+    # Neither truncated, parsed nor read as a bool: True would give m.
+    for i in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="index must be an integer"):
+            squarefree_power_of_maximal(3, i)
+    assert squarefree_power_of_maximal(3, np.int64(1)) == maximal_ideal(3)
+
+
+def test_squarefree_power_of_maximal_matches_one_monomial_per_subset():
+    for n in range(8):
+        for i in range(n + 1):
+            gens = [Monomial.from_support(n, F) for F in combinations(range(1, n + 1), i)]
+            assert squarefree_power_of_maximal(n, i) == MonomialIdeal(n, gens)
+
+
+def test_subset_sums_edge_cases():
+    assert _subset_sums(range(3), 3, 0).tolist() == [[0, 0, 0]]
+    assert _subset_sums(range(2), 4, 3).shape == (0, 4)
+    # Repeated columns add up.
+    assert _subset_sums([0, 0, 2], 3, 2).tolist() == [[2, 0, 0], [1, 0, 1], [1, 0, 1]]
+    # Rows come in combinations order, one int64 row per subset.
+    sums = _subset_sums([3, 1, 4, 0], 5, 2)
+    want = [[int(c in F) for c in range(5)] for F in combinations([3, 1, 4, 0], 2)]
+    assert sums.dtype == np.int64 and sums.tolist() == want
 
 
 def test_veronese_examples():
@@ -444,6 +470,17 @@ def test_from_exponents_refuses_a_bool_beside_an_int():
         with pytest.raises(ValueError, match="exponents must be integers"):
             MonomialIdeal.from_exponents(2, rows)
     assert MonomialIdeal.from_exponents(2, [(1, 2)]) == ideal(2, (1, 2))
+
+
+def test_exponent_rows_that_are_not_sequences_raise_value_error():
+    calls = [
+        lambda: MonomialIdeal.from_exponents(2, [1, 2]),
+        lambda: MonomialIdeal.from_dict({"n": 2, "gens": [1, 2]}),
+        lambda: MonomialIdeal.from_dict({"n": 2, "gens": 5}),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="exponent rows of length 2 expected"):
+            call()
 
 
 def test_variable_count_must_be_an_integer_in_every_constructor():
